@@ -25,7 +25,7 @@ from .isomorphism import (
 )
 from .potential import (
     CertifiedValue, GrowthFit, flow_log_g, flow_log_g_sum, growth_exponent,
-    phi, radial_distance, volume_density,
+    phi, radial_distance,
 )
 from .quotient import (
     CombinatorialSection, IntegerDivisor, Ordering, QuotientClass,

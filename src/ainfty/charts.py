@@ -29,6 +29,7 @@ from .config import Configuration, moduli_pair
 from .errors import (NotChartAdmissible, OutsideOverlap, RootBracketFailure,
                      SectionMismatch, SingularPoint, WrongDivisor)
 from .geometry import ImHPoint, as_point
+from .potential import _potential_sum, _refine
 from .quotient import (CombinatorialSection, IntegerDivisor, QuotientClass,
                        base_gap, base_section, class_of, count_between)
 
@@ -240,21 +241,17 @@ class _LogProfile:
         self.k0 = int(np.count_nonzero(self.between_high)) \
             - int(np.count_nonzero(self.between_low))
 
-    def _ensure_tail(self, t: float):
-        while True:
-            _, err = self.config.family.log_tail(self.n, t, self.z0)
-            if err <= self.eps:
-                return
-            limit = self.config.family.clamp(self.config.max_truncation)
-            if self.n >= limit:
-                from .errors import TailUnresolved
-                raise TailUnresolved(
-                    f"chart log tail above {self.eps} at max truncation {limit}")
-            self._setup(min(2 * self.n, limit))
+    def _log_tail(self, n: int, t: float):
+        """The log-product tail estimate at height t with N = n, or None
+        while its bound exceeds eps."""
+        if n != self.n:
+            self._setup(n)
+        est, err = self.config.family.log_tail(n, t, self.z0)
+        return est if err <= self.eps else None
 
     def value(self, t: float) -> float:
         """log|f|^2 at height t inside the gap."""
-        self._ensure_tail(t)
+        est = _refine(self.config, lambda n: self._log_tail(n, t), self.n)
         d = t + self.lr
         s = np.hypot(d, self.c)
         # spd = 2|z_n|^2 and smd = 2|w_n|^2, each via its cancellation-free form
@@ -270,16 +267,12 @@ class _LogProfile:
             + np.sum(term_w, where=self.cat_w)
             + np.sum(term_bl, where=self.between_low)
             + np.sum(term_bh, where=self.between_high))
-        est, _ = self.config.family.log_tail(self.n, t, self.z0)
         return total + est
 
     def deriv(self, t: float) -> float:
         """d/dt of value: the unscaled potential sum at (t, z0)."""
-        d = t + self.lr
-        s = np.hypot(d, self.c)
-        partial = float(np.sum(1.0 / s))
-        est, _ = self.config.family.phi_tail(self.n, t, self.z0)
-        return partial + (est if math.isfinite(est) else 0.0)
+        return float(_potential_sum(self.config, self.n, t, self.z0,
+                                    (self.lr, self.lc))[0])
 
 
 def _solve_monotone(profile: _LogProfile, target: float) -> float:

@@ -211,13 +211,16 @@ class CenterFamily:
 
     # Derived coarse tails; PowerLaw overrides with sharp expansions.
 
-    def phi_tail(self, n_centers: int, t: float, z: complex):
-        """(estimate, error bound) for sum_{n>N} 1/|zeta + lambda_n|."""
-        r = math.hypot(t, abs(z))
-        if self.min_tail_norm(n_centers) <= r:
-            return 0.0, math.inf
-        b = self.tail_inv_sum(n_centers, r)
-        return b / 2.0, b / 2.0
+    def phi_tail(self, n_centers: int, t, z):
+        """(estimates, error bound) for sum_{n>N} 1/|zeta + lambda_n| at the
+        points zeta = (t, z), vectorized; one bound covers every point."""
+        r = np.hypot(t, np.abs(z))
+        rmax = float(np.max(r))
+        b = (self.tail_inv_sum(n_centers, rmax) / 2.0
+             if self.min_tail_norm(n_centers) > rmax else math.inf)
+        if not math.isfinite(b):
+            return np.zeros_like(r), math.inf
+        return np.full_like(r, b), b
 
     def log_tail(self, n_centers: int, t: float, z: complex):
         """(estimate, error bound) for the chart log-product tail at zeta."""
@@ -382,14 +385,12 @@ class PowerLawFamily(_AxialDecreasingFamily):
         return base / (1.0 - r / s0)
 
     def phi_tail(self, n_centers, t, z):
-        q = t * t + abs(z) ** 2
+        t = np.asarray(t, dtype=float)
+        q = t * t + np.abs(z) ** 2
         est, err = _powerlaw_tail_series(self.beta, n_centers, t, q)
         if est is None:
-            return 0.0, math.inf
-        return float(est), err
-
-    def phi_tail_batch(self, n_centers, t, c):
-        return _powerlaw_tail_series(self.beta, n_centers, t, t * t + c * c)
+            return np.zeros_like(q), math.inf
+        return est, err
 
     def log_tail(self, n_centers, t, z):
         # log((S + t + s)/(2s)) = t/s + O(1/s^2) with certified constant
@@ -523,15 +524,6 @@ class FiniteListFamily(CenterFamily):
     def tail_inv_sum(self, n_centers, r):
         return 0.0 if n_centers >= self.count else math.inf
 
-    def phi_tail(self, n_centers, t, z):
-        return (0.0, 0.0) if n_centers >= self.count else (0.0, math.inf)
-
-    def log_tail(self, n_centers, t, z):
-        return (0.0, 0.0) if n_centers >= self.count else (0.0, math.inf)
-
-    def flow_tail(self, n_centers, t0, t1, z):
-        return (0.0, 0.0) if n_centers >= self.count else (0.0, math.inf)
-
     def tail_chart_admissible(self, n_centers):
         return True if n_centers >= self.count else None
 
@@ -626,15 +618,6 @@ class GeneralAxialFiberedFamily(FiniteListFamily):
         if n_centers < self.count:
             return math.inf
         return self.tail_oracles[1](n_centers, r)
-
-    def phi_tail(self, n_centers, t, z):
-        return CenterFamily.phi_tail(self, n_centers, t, z)
-
-    def log_tail(self, n_centers, t, z):
-        return CenterFamily.log_tail(self, n_centers, t, z)
-
-    def flow_tail(self, n_centers, t0, t1, z):
-        return CenterFamily.flow_tail(self, n_centers, t0, t1, z)
 
     def tail_chart_admissible(self, n_centers):
         return None

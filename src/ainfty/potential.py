@@ -1,13 +1,19 @@
 """Certified evaluation of the harmonic potential, flow integrals, and the
 volume-growth experiment.
 
-The potential is Phi(zeta) = (1/4) sum_n 1/|zeta + lambda_n|.  Values carry
-certified error bounds: enumerated partial sums plus the family's tail
-estimate, with the truncation doubled adaptively until the bound meets the
-requested tolerance.  Flow quantities come in two deliberately independent
-routes: ``flow_log_g`` integrates Phi along a vertical segment with
-adaptive quadrature, while ``flow_log_g_sum`` evaluates the explicit
-sum of log ratios; their agreement is one of the bundled invariants.
+The potential is Phi(zeta) = (1/4) sum_n 1/|zeta + lambda_n|.  One
+evaluator, ``_potential_sum``, forms the sum over the first N centers plus
+the family's tail estimate (``phi_tail``), vectorized over points; ``phi``,
+the integrand of ``flow_log_g``, ``radial_distance``, the growth batches
+``_phi_batch`` and the chart profile's derivative all call it.  One loop,
+``_refine``, picks N for every certified quantity here and in the chart
+profile: it starts at the configuration's enumerated count and doubles N
+through ``_grow`` until the caller's bound meets its tolerance, raising
+TailUnresolved once N reaches max_truncation.  Flow quantities come in two
+deliberately independent routes: ``flow_log_g`` integrates Phi along a
+vertical segment with adaptive quadrature, while ``flow_log_g_sum``
+evaluates the explicit sum of log ratios; their agreement is one of the
+bundled invariants.
 
 Normalization: both flow routes return the integral of the
 quarter-normalized potential, whose eta-derivative is exactly Phi.  The
@@ -33,7 +39,7 @@ from scipy.integrate import quad
 from .config import Configuration
 from .errors import (InsufficientRange, RayHitsCenter, SegmentHitsCenter,
                      SingularPoint, TailUnresolved)
-from .geometry import ImHPoint, as_point
+from .geometry import as_point
 
 _EPS = float(np.finfo(float).eps)
 
@@ -52,10 +58,10 @@ class CertifiedValue:
         return self.value
 
 
-def _inv_dist_sum(lr, lc, p: ImHPoint) -> float:
-    d = p.t + lr
-    s = np.hypot(d, np.abs(p.z + lc))
-    return float(np.sum(1.0 / s))
+def _rounding_slop(magnitude: float) -> float:
+    """Bound on the floating-point rounding of a sum of terms with total
+    absolute size ``magnitude``."""
+    return 64.0 * _EPS * (1.0 + magnitude)
 
 
 def _grow(config: Configuration, n: int):
@@ -66,6 +72,72 @@ def _grow(config: Configuration, n: int):
     return min(2 * n, limit)
 
 
+def _refine(config: Configuration, accept, n=None):
+    """The truncation loop: call ``accept(N)`` for N = n (default the
+    enumerated count), then for each doubling of N, and return its first
+    result that is not None.  ``_grow`` raises TailUnresolved past
+    max_truncation."""
+    if n is None:
+        n = config.n_enumerated
+    while (out := accept(n)) is None:
+        n = _grow(config, n)
+    return out
+
+
+def _potential_sum(config: Configuration, n: int, t, z, centers=None,
+                   floor=None):
+    """The evaluator: sum_{k<=N} 1/|zeta + lambda_k| plus the family's tail
+    estimate at each point zeta = (t, z), for scalars or arrays of one
+    shape, and the tail error bound, one for all points.
+
+    ``centers`` passes the first N centers when the caller holds them.
+    Axial centers use c = |z| without forming z + lambda_c.  ``floor``,
+    the points' |zeta| as a flat array, clamps every distance to
+    1e-9 (1 + |zeta|), for growth samples that may land on a center.
+    """
+    fam = config.family
+    lr, lc = fam.center_arrays(n) if centers is None else centers
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z)
+    tv, zv = t.reshape(-1), z.reshape(-1)
+    axial = not lc.any()
+    out = np.empty(tv.shape)
+    chunk = max(256, 2_000_000 // max(lr.size, 1))
+    for a in range(0, tv.size, chunk):
+        b = min(a + chunk, tv.size)
+        d = tv[a:b, None] + lr[None, :]
+        c = np.abs(zv[a:b, None]) if axial else np.abs(zv[a:b, None] + lc[None, :])
+        s = np.sqrt(d * d + c ** 2)
+        if floor is not None:
+            np.maximum(s, 1e-9 * (1.0 + floor[a:b, None]), out=s)
+        out[a:b] = np.sum(1.0 / s, axis=1)
+    est, err = fam.phi_tail(n, t, z)
+    return out.reshape(t.shape) + est, err
+
+
+def _tail_truncation(config: Configuration, t, z, tol: float):
+    """(N, bound): the first N whose quarter-normalized potential tail
+    bound at the points (t, z) is at most tol, and that bound."""
+    fam = config.family
+
+    def accept(n):
+        _, err = fam.phi_tail(n, t, z)
+        return (n, err / 4.0) if err / 4.0 <= tol else None
+    return _refine(config, accept)
+
+
+def _scalar_phi(config: Configuration, ref_t, ref_z, tol: float):
+    """The potential as a function of (t, z) at the truncation whose tail
+    bound at the reference points is at most tol (keeps quadrature inner
+    loops cheap), and that bound."""
+    n, tail_err = _tail_truncation(config, ref_t, ref_z, tol)
+    centers = config.family.center_arrays(n)
+
+    def phi_at(t: float, z: complex) -> float:
+        return float(_potential_sum(config, n, t, z, centers)[0]) / 4.0
+    return phi_at, tail_err
+
+
 def phi(config: Configuration, zeta, eps: float = 1e-10) -> CertifiedValue:
     """The potential at zeta with certified absolute error <= eps."""
     p = as_point(zeta)
@@ -73,23 +145,13 @@ def phi(config: Configuration, zeta, eps: float = 1e-10) -> CertifiedValue:
         raise ValueError("eps must be positive")
     if config.is_singular(p):
         raise SingularPoint(f"{(p.t, p.z)} coincides with a center")
-    fam = config.family
-    n = config.n_enumerated
-    while True:
-        lr, lc = fam.center_arrays(n)
-        partial = _inv_dist_sum(lr, lc, p)
-        est, err = fam.phi_tail(n, p.t, p.z)
-        slop = 64.0 * _EPS * (abs(partial) + abs(est) + 1.0)
-        bound = (err + slop) / 4.0
-        if bound <= eps:
-            return CertifiedValue((partial + est) / 4.0, bound)
-        n = _grow(config, n)
 
-
-def volume_density(config: Configuration, zeta, eps: float = 1e-10) -> CertifiedValue:
-    """Density of the 4-volume over the base after fiber integration; equal
-    to the potential (named alias to keep the geometric intent explicit)."""
-    return phi(config, zeta, eps)
+    def accept(n):
+        total, err = _potential_sum(config, n, p.t, p.z)
+        total = float(total)
+        bound = (err + _rounding_slop(abs(total))) / 4.0
+        return CertifiedValue(total / 4.0, bound) if bound <= eps else None
+    return _refine(config, accept)
 
 
 # ---------------------------------------------------------------------------
@@ -102,32 +164,6 @@ def _segment_clear(config: Configuration, z: complex, lo: float, hi: float):
         raise SegmentHitsCenter(
             f"fiber points {[t for _, t in pts][:4]} lie on the segment "
             f"[{lo}, {hi}] over {z}")
-
-
-class _AdaptivePhi:
-    """Scalar potential evaluator with truncation fixed for a working set of
-    points (keeps quadrature inner loops cheap)."""
-
-    def __init__(self, config: Configuration, ref_points, abs_tol: float):
-        fam = config.family
-        n = config.n_enumerated
-        while True:
-            worst = 0.0
-            for p in ref_points:
-                _, err = fam.phi_tail(n, p.t, p.z)
-                worst = max(worst, err / 4.0)
-            if worst <= abs_tol:
-                break
-            n = _grow(config, n)
-        self.config = config
-        self.n = n
-        self.tail_err = worst
-        self.lr, self.lc = fam.center_arrays(n)
-
-    def __call__(self, t: float, z: complex) -> float:
-        p = ImHPoint(t, z)
-        est, _ = self.config.family.phi_tail(self.n, p.t, p.z)
-        return (_inv_dist_sum(self.lr, self.lc, p) + est) / 4.0
 
 
 def flow_log_g(config: Configuration, z, from_t: float, to_t: float,
@@ -144,11 +180,10 @@ def flow_log_g(config: Configuration, z, from_t: float, to_t: float,
     lo, hi = min(from_t, to_t), max(from_t, to_t)
     _segment_clear(config, z, lo, hi)
     length = hi - lo
-    ev = _AdaptivePhi(config, [ImHPoint(lo, z), ImHPoint(hi, z)],
-                      abs_tol=eps / (4.0 * length))
-    val, quad_err = quad(lambda t: ev(t, z), from_t, to_t,
+    phi_at, tail_err = _scalar_phi(config, [lo, hi], [z, z], eps / (4.0 * length))
+    val, quad_err = quad(lambda t: phi_at(t, z), from_t, to_t,
                          epsabs=eps / 2.0, epsrel=0.0, limit=400)
-    bound = abs(quad_err) + length * ev.tail_err + 64.0 * _EPS * (1.0 + abs(val))
+    bound = abs(quad_err) + length * tail_err + _rounding_slop(abs(val))
     return CertifiedValue(val, bound)
 
 
@@ -167,8 +202,8 @@ def flow_log_g_sum(config: Configuration, eta_t: float, zeta_t: float, z,
     lo, hi = min(eta_t, zeta_t), max(eta_t, zeta_t)
     _segment_clear(config, z, lo, hi)
     fam = config.family
-    n = config.n_enumerated
-    while True:
+
+    def accept(n):
         lr, lc = fam.center_arrays(n)
         d0 = zeta_t + lr
         d1 = eta_t + lr
@@ -184,10 +219,9 @@ def flow_log_g_sum(config: Configuration, eta_t: float, zeta_t: float, z,
             terms = np.where(plus, np.log1p(num / den), -np.log1p(num / den))
         partial = float(np.sum(terms))
         est, err = fam.flow_tail(n, zeta_t, eta_t, z)
-        slop = 64.0 * _EPS * (1.0 + np.abs(terms).sum() + abs(est))
-        if (err + slop) / 4.0 <= eps:
-            return CertifiedValue((partial + est) / 4.0, (err + slop) / 4.0)
-        n = _grow(config, n)
+        bound = (err + _rounding_slop(np.abs(terms).sum() + abs(est))) / 4.0
+        return CertifiedValue((partial + est) / 4.0, bound) if bound <= eps else None
+    return _refine(config, accept)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +247,8 @@ def radial_distance(config: Configuration, direction, R: float,
     d = _unit_direction(direction)
     # enumerate far enough that all non-enumerated centers lie beyond R
     fam = config.family
-    n = config.n_enumerated
-    while fam.min_tail_norm(n) <= R and fam.clamp(n) == n:
-        n = _grow(config, n)
-    lr, lc = fam.center_arrays(fam.clamp(n))
+    n = _refine(config, lambda n: n if fam.min_tail_norm(n) > R else None)
+    lr, lc = fam.center_arrays(n)
     pos_t, pos_z = -lr, -lc
     proj = pos_t * d[0] + np.real(pos_z) * d[1] + np.imag(pos_z) * d[2]
     perp2 = (pos_t - proj * d[0]) ** 2 + (np.real(pos_z) - proj * d[1]) ** 2 \
@@ -226,14 +258,14 @@ def radial_distance(config: Configuration, direction, R: float,
         raise RayHitsCenter(
             f"center {int(np.flatnonzero(on_ray)[0])} lies on the ray; perturb the direction")
 
-    far = ImHPoint(R * d[0], complex(R * d[1], R * d[2]))
-    ev = _AdaptivePhi(config, [far, ImHPoint(0.5 * R * d[0], 0.5 * complex(R * d[1], R * d[2]))],
-                      abs_tol=rel_tol / (4.0 * (R + 1.0)))
+    far_z = complex(R * d[1], R * d[2])
+    phi_at, _ = _scalar_phi(config, [R * d[0], 0.5 * R * d[0]], [far_z, 0.5 * far_z],
+                            rel_tol / (4.0 * (R + 1.0)))
 
     def integrand(sigma):
         s = sigma * sigma
         return 2.0 * sigma * math.sqrt(
-            max(ev(s * d[0], complex(s * d[1], s * d[2])), 0.0))
+            max(phi_at(s * d[0], complex(s * d[1], s * d[2])), 0.0))
 
     val, _ = quad(integrand, 0.0, math.sqrt(R), limit=400,
                   epsabs=0.0, epsrel=rel_tol)
@@ -250,37 +282,13 @@ def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
                rel_tol: float = 1e-5) -> np.ndarray:
     """Vectorized potential for axial configurations; c = |z| >= 0.
     Accuracy: relative rel_tol at the farthest point of the batch."""
-    fam = config.family
     r = np.hypot(t, c)
     rmax = float(r.max())
     lr0 = abs(config.center(config.family.n_first)[0])
     scale = 1.0 / (4.0 * (rmax + lr0 + 1.0))   # lower bound for Phi at rmax
-    n = config.n_enumerated
-    while True:
-        _, err = fam.phi_tail(n, rmax, 0j)
-        if err / 4.0 <= rel_tol * scale or fam.clamp(n) < n:
-            break
-        if n >= fam.clamp(config.max_truncation):
-            break
-        n = _grow(config, n)
-    n = fam.clamp(n)
-    lr, _ = fam.center_arrays(n)
-
-    out = np.empty_like(r)
-    chunk = max(256, 2_000_000 // max(n, 1))
-    for a in range(0, r.size, chunk):
-        b = min(a + chunk, r.size)
-        d = t[a:b, None] + lr[None, :]
-        s = np.sqrt(d * d + (c[a:b, None]) ** 2)
-        np.maximum(s, 1e-9 * (1.0 + r[a:b, None]), out=s)
-        out[a:b] = np.sum(1.0 / s, axis=1)
-    if hasattr(fam, "phi_tail_batch"):
-        est, _ = fam.phi_tail_batch(n, t, c)
-        if est is not None:
-            out += est
-    elif math.isfinite(fam.min_tail_norm(n)) and fam.min_tail_norm(n) > rmax:
-        out += fam.tail_inv_sum(n, rmax) / 2.0
-    return out / 4.0
+    n, _ = _tail_truncation(config, rmax, 0.0, rel_tol * scale)
+    total, _ = _potential_sum(config, n, t, c, floor=r)
+    return total / 4.0
 
 
 @dataclass(frozen=True)

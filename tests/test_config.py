@@ -49,6 +49,15 @@ def test_tail_bound_consistency():
     assert b1 >= b2 - mid - 1e-15
 
 
+def test_finite_list_tails_vanish_at_full_truncation():
+    fam = finite_list([(1.0, 2 + 1j), (-3.0, 0j), (0.5, -1j)]).family
+    for t, z in [(0.0, 0j), (0.7, 1 - 2j), (-40.0, 3j)]:
+        est, err = fam.phi_tail(fam.count, t, z)
+        assert (float(est), err) == (0.0, 0.0)
+        assert fam.log_tail(fam.count, t, z) == (0.0, 0.0)
+        assert fam.flow_tail(fam.count, t, t + 2.0, z) == (0.0, 0.0)
+
+
 def test_delta_set_examples():
     assert delta_set(power_law(2.0), 10.0) == {0j}
     cfg = finite_list([(1.0, 2 + 1j), (3.0, 2 + 1j), (0.0, 5 + 0j)])

@@ -1,12 +1,13 @@
 """Coverage for the non-JSON families and certification edges."""
 
+import numpy as np
 import pytest
 
 from ainfty.config import (Finite, OMEGA_DOWN, axial_monotone, fiber,
                            general_axial, power_law, validate)
 from ainfty.errors import TailUnresolved
 from ainfty.geometry import ImHPoint
-from ainfty.potential import GrowthFit, phi
+from ainfty.potential import GrowthFit, growth_exponent, phi
 from ainfty.quotient import class_of, is_continuous, base_section
 
 
@@ -30,6 +31,9 @@ def test_axial_monotone_without_minorant_unresolved():
     assert not validate(cfg).summable        # bound cannot be certified
     with pytest.raises(TailUnresolved):
         phi(cfg, ImHPoint(0.0, 0j), 1e-6)
+    with pytest.raises(TailUnresolved):
+        growth_exponent(cfg, np.geomspace(10, 1000, 4), 4000, seed=1,
+                        n_psi=16, n_radial=64)
 
 
 def test_is_continuous_general_config():

@@ -4,6 +4,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -11,8 +12,8 @@ from ainfty.config import finite_list, power_law
 from ainfty.errors import InsufficientRange, RayHitsCenter, SegmentHitsCenter, SingularPoint
 from ainfty.geometry import ImHPoint
 from ainfty.potential import (
-    CertifiedValue, flow_log_g, flow_log_g_sum, growth_exponent, phi,
-    radial_distance, volume_density,
+    CertifiedValue, _phi_batch, flow_log_g, flow_log_g_sum, growth_exponent,
+    phi, radial_distance,
 )
 from ainfty.quotient import same_class
 
@@ -53,10 +54,67 @@ def test_phi_singular_point():
         phi(PL2, ImHPoint(-4.0, 0j))
 
 
-def test_volume_density_alias():
-    a = phi(PL2, ImHPoint(0.5, 1j), 1e-10)
-    b = volume_density(PL2, ImHPoint(0.5, 1j), 1e-10)
-    assert a == b
+def _power_law_oracle(beta, t, c):
+    """(1/4) sum_{n>=1} 1/sqrt((t + n^beta)^2 + c^2) in mpmath: the partial
+    sum below M, where M^beta >= 8 |zeta| keeps the summand smooth, plus the
+    Euler-Maclaurin tail from M (the integral taken in log x, then the B2
+    and B4 corrections)."""
+    t, c = float(t), float(c)
+    with mpmath.workdps(30):
+        f = lambda x: 1 / mpmath.sqrt((t + x ** beta) ** 2 + c ** 2)
+        m = int((8 * (abs(t) + c) + 1) ** (1 / beta)) + 200
+        partial = mpmath.fsum(f(n) for n in range(1, m))
+        integral = mpmath.quad(lambda u: f(mpmath.exp(u)) * mpmath.exp(u),
+                               [mpmath.log(m), mpmath.inf])
+        tail = (integral + f(m) / 2 - mpmath.diff(f, m, 1) / 12
+                + mpmath.diff(f, m, 3) / 720)
+        return float((partial + tail) / 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.2, 3.0), st.floats(0.0, 1.0), st.floats(0.0, math.pi),
+       st.sampled_from(["axis", "off"]))
+def test_phi_power_law_matches_oracle(beta, frac, angle, where):
+    cfg = power_law(beta, truncation=64)
+    r = frac * 65 ** beta / 4.5          # up to the tail series' validity limit
+    if where == "axis":
+        angle = 0.0 if angle < math.pi / 2 else math.pi
+    p = ImHPoint(r * math.cos(angle), complex(r * math.sin(angle)))
+    assume(cfg.nearest_center_distance(p) > 1e-2)
+    v = phi(cfg, p, 1e-10)
+    assert v.error_bound <= 1e-10
+    assert v.contains(_power_law_oracle(beta, p.t, abs(p.z)))
+
+
+OFF_AXIS = [(0.5, 1 + 1j), (-1.0, -0.5 + 0.2j), (2.0, 0j), (0.0, 2j), (-3.0, 1.5 - 1j)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-6, 6), st.floats(-3, 3), st.floats(-3, 3))
+def test_phi_finite_list_matches_exact_sum(t, zr, zi):
+    cfg = finite_list(OFF_AXIS)
+    p = ImHPoint(t, complex(zr, zi))
+    assume(cfg.nearest_center_distance(p) > 1e-3)
+    with mpmath.workdps(30):
+        t, z = mpmath.mpf(t), mpmath.mpc(zr, zi)
+        oracle = float(mpmath.fsum(
+            1 / mpmath.sqrt((t + lr) ** 2 + abs(z + lc) ** 2) for lr, lc in OFF_AXIS) / 4)
+    assert phi(cfg, p, 1e-12).contains(oracle)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(1.2, 3.0),
+       st.lists(st.tuples(st.floats(10.0, 1000.0), st.floats(0.0, math.pi)),
+                min_size=2, max_size=5))
+def test_phi_batch_growth_points_match_oracle(beta, polar):
+    cfg = power_law(beta, truncation=64)
+    t = np.array([r * math.cos(a) for r, a in polar])
+    c = np.array([r * math.sin(a) for r, a in polar])
+    assume(all(cfg.nearest_center_distance(ImHPoint(ti, complex(ci))) > 1e-2
+               for ti, ci in zip(t, c)))
+    for v, ti, ci in zip(_phi_batch(cfg, t, c), t, c):
+        oracle = _power_law_oracle(beta, ti, ci)
+        assert abs(v - oracle) <= 1e-5 * oracle
 
 
 def test_flow_zero_segment():
