@@ -11,11 +11,9 @@ from .config import (
     representative_from_moment, validate,
 )
 from .charts import (
-    CenterSplit, ManifoldPoint, Multiplier, act, base_coordinate,
-    canonical_multiplier, chart_forward, chart_inverse, convergent_product,
-    gauge_point, log_convergent_product, moduli_from_moment,
-    section_base_divisor, section_coordinate, split_center, split_centers,
-    transition,
+    ManifoldPoint, Multiplier, act, base_coordinate, canonical_multiplier,
+    chart_forward, chart_inverse, gauge_point, section_base_divisor,
+    section_coordinate, transition,
 )
 from .geometry import ImHPoint, as_point
 from .isomorphism import (

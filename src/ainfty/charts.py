@@ -25,60 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Configuration, moduli_pair
+from .config import Configuration
 from .errors import (NotChartAdmissible, OutsideOverlap, RootBracketFailure,
                      SectionMismatch, SingularPoint, WrongDivisor)
-from .geometry import ImHPoint, as_point
+from .geometry import ImHPoint
 from .potential import _potential_sum, _refine
 from .quotient import (CombinatorialSection, IntegerDivisor, QuotientClass,
                        base_gap, base_section, class_of, count_between)
 
 _TWO_PI = 2.0 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# Center splitting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CenterSplit:
-    """Per-center factors (alpha_n, beta_n) with |alpha|^2 = (|l|+l_r)/2,
-    |beta|^2 = (|l|-l_r)/2, 2 alpha beta = l_c; the factor on the side of
-    sign(l_r) is taken real positive."""
-
-    indices: tuple
-    alpha: tuple
-    beta: tuple
-
-
-def split_center(config: Configuration, n: int):
-    lr, lc = config.center(n)
-    if lr == 0:
-        raise NotChartAdmissible(f"center {n} has zero real part")
-    norm = math.hypot(lr, abs(lc))
-    if lr > 0:
-        a = math.sqrt((norm + lr) / 2.0)
-        return complex(a), lc / (2.0 * a)
-    b = math.sqrt((norm - lr) / 2.0)
-    return lc / (2.0 * b), complex(b)
-
-
-def split_centers(config: Configuration, n_centers=None) -> CenterSplit:
-    idx = list(config.family.index_range(
-        config.family.clamp(n_centers or config.truncation)))
-    pairs = [split_center(config, n) for n in idx]
-    return CenterSplit(
-        indices=tuple(idx),
-        alpha=tuple(a for a, _ in pairs),
-        beta=tuple(b for _, b in pairs),
-    )
-
-
-def moduli_from_moment(config: Configuration, zeta, n: int):
-    """(|z_n|^2, |w_n|^2) of any solution representative over the moment
-    value zeta; their product is |zeta_c + lambda_c|^2 / 4."""
-    lr, lc = config.center(n)
-    return moduli_pair(lr, lc, as_point(zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +97,6 @@ class Multiplier:
 
     def product(self, other: "Multiplier") -> "Multiplier":
         return self._combine(other, +1)
-
-    def shifted(self, c: complex) -> "Multiplier":
-        """The multiplier q -> eval(q - c) (divisor translated by c)."""
-        c = complex(c)
-        moved = IntegerDivisor.from_dict({z + c: k for z, k in self.divisor.entries})
-        if not self.unit_log_coeffs:
-            return Multiplier(moved, ())
-        # compose the unit polynomial with q - c
-        coeffs = [0j] * len(self.unit_log_coeffs)
-        for j, cj in enumerate(self.unit_log_coeffs):
-            for i in range(j + 1):
-                coeffs[i] += cj * math.comb(j, i) * (-c) ** (j - i)
-        return Multiplier(moved, tuple(coeffs))
 
 
 def section_base_divisor(config: Configuration, section: CombinatorialSection) -> IntegerDivisor:
@@ -434,23 +376,3 @@ def act(config: Configuration, point: ManifoldPoint, g: complex,
     target = profile.value(p.t) + 2.0 * math.log(abs(g))
     t = _solve_monotone(profile, target)
     return ManifoldPoint(ImHPoint(t, p.z), (point.theta + cmath.phase(g)) % _TWO_PI)
-
-
-# ---------------------------------------------------------------------------
-# Convergent products
-# ---------------------------------------------------------------------------
-
-def log_convergent_product(xs) -> complex:
-    """Stable log of prod (1 + x_n) for absolutely summable x_n (imaginary
-    part summed as principal-branch increments, not wrapped)."""
-    total = 0j
-    for x in xs:
-        x = complex(x)
-        if x == -1:
-            raise ValueError("a factor vanishes; the product has no nonzero limit")
-        total += cmath.log(1.0 + x)
-    return total
-
-
-def convergent_product(xs) -> complex:
-    return cmath.exp(log_convergent_product(xs))

@@ -24,10 +24,15 @@ from .geometry import as_point
 from .quotient import (CombinatorialSection, QuotientClass, base_gap,
                        base_section, class_of, count_between)
 
+_BASE_TOL = 8.0 * math.ulp(1.0)   # relative to |z| + |c| when matching bases
+
 
 @dataclass(frozen=True)
 class FiberCertificate:
+    """One matched fiber: base z of a, its base z_b in b, their order types."""
+
     z: complex
+    z_b: complex
     order_type_a: OrderType
     order_type_b: OrderType
 
@@ -45,16 +50,26 @@ class IsomCertificate:
 
 
 def _match_delta(da, db):
-    """Find c with da + c == db (exact), preferring c = 0."""
+    """(c, {z: z_b}) pairing every base z of da with the base z_b of db
+    within a few ulps of z + c, preferring c = 0; None when no uniform
+    translation c pairs the two sets."""
     if da == db:
-        return 0j
+        return 0j, {z: z for z in da}
     if len(da) != len(db) or not da:
         return None
-    a0 = min(da, key=lambda z: (z.real, z.imag))
-    for b in db:
-        c = b - a0
-        if frozenset(z + c for z in da) == db:
-            return c
+    # |a0| <= |z| keeps the rounding of c within the tolerance at every z
+    a0 = min(da, key=lambda z: (abs(z), z.real, z.imag))
+    for b0 in db:
+        c = b0 - a0
+        pairs = {}
+        for z in da:
+            tol = _BASE_TOL * (abs(z) + abs(c))
+            zb = next((w for w in db if abs(z + c - w) <= tol), None)
+            if zb is None or zb in pairs.values():
+                break
+            pairs[z] = zb
+        else:
+            return c, pairs
     return None
 
 
@@ -65,14 +80,14 @@ def isomorphism_exists(config_a: Configuration, config_b: Configuration,
     type (including cardinality when finite)."""
     da = delta_set(config_a, disk_radius)
     db = delta_set(config_b, disk_radius)
-    shift = _match_delta(da, db) if allow_shift else (0j if da == db else None)
-    if shift is None:
+    match = _match_delta(da, db) if allow_shift else (
+        (0j, {z: z for z in da}) if da == db else None)
+    if match is None:
         return IsomCertificate(False, 0j, (), obstruction="fiber base sets do not match")
-    fibers = []
-    for z in sorted(da, key=lambda z: (z.real, z.imag)):
-        ota = config_a.family.fiber_order_type(z)
-        otb = config_b.family.fiber_order_type(z + shift)
-        fibers.append(FiberCertificate(z, ota, otb))
+    shift, pairs = match
+    fibers = [FiberCertificate(z, pairs[z], config_a.family.fiber_order_type(z),
+                               config_b.family.fiber_order_type(pairs[z]))
+              for z in sorted(da, key=lambda z: (z.real, z.imag))]
     bad = [f for f in fibers if not f.ok]
     return IsomCertificate(
         isomorphic=not bad,
@@ -90,20 +105,28 @@ def isomorphism_exists(config_a: Configuration, config_b: Configuration,
 @dataclass(frozen=True)
 class OrderIso:
     """Per-fiber increasing matching between two configurations' fiber
-    points, with the shift applied to base points (a-base z <-> b-base
-    z + shift).  Matchings are canonical: count from the bounded end
-    (top for omega_down, bottom for omega_up, the least nonnegative point
-    for omega_both)."""
+    points over the certificate's base map (a-base z <-> its matched b-base,
+    any other base point z <-> z + shift).  Matchings are canonical: count
+    from the bounded end (top for omega_down, bottom for omega_up, the least
+    nonnegative point for omega_both)."""
 
     config_a: Configuration
     config_b: Configuration
     shift: complex = 0j
+    bases: tuple = ()      # (a-base, b-base) pairs of the certified disk
+
+    def base(self, z: complex) -> complex:
+        """The b-side base point matched with the a-side base point z."""
+        z = complex(z)
+        zb = dict(self.bases).get(z)
+        # + 0j clears signed zeros, as z + shift does for shift 0
+        return z + self.shift if zb is None else zb + 0j
 
     def match_index(self, z: complex, n_a: int) -> int:
         """The b-center index matched with a-center n_a on the fiber over z."""
         fam_a, fam_b = self.config_a.family, self.config_b.family
         z = complex(z)
-        zb = z + self.shift
+        zb = self.base(z)
         ot = fam_a.fiber_order_type(z)
         na_max = self.config_a.max_truncation
         nb_max = self.config_b.max_truncation
@@ -142,7 +165,7 @@ class OrderIso:
     def map_gap(self, gap: QuotientClass) -> QuotientClass:
         z = gap.z
         return QuotientClass(
-            z=z + self.shift,
+            z=self.base(z),
             lower=None if gap.lower is None else self.match_index(z, gap.lower),
             upper=None if gap.upper is None else self.match_index(z, gap.upper),
         )
@@ -150,7 +173,7 @@ class OrderIso:
     def map_section(self, section: CombinatorialSection) -> CombinatorialSection:
         out = base_section(self.config_b)
         for z, gap in section.deviations:
-            out = out.deviate(z + self.shift, self.map_gap(gap))
+            out = out.deviate(self.base(z), self.map_gap(gap))
         return out
 
 
@@ -159,7 +182,8 @@ def build_order_isomorphism(config_a: Configuration, config_b: Configuration,
     cert = isomorphism_exists(config_a, config_b, disk_radius, allow_shift)
     if not cert.isomorphic:
         raise NotIsomorphic(cert.obstruction or "no order isomorphism")
-    return OrderIso(config_a, config_b, cert.shift)
+    return OrderIso(config_a, config_b, cert.shift,
+                    tuple((f.z, f.z_b) for f in cert.fibers))
 
 
 def build_connecting_multiplier(config_a: Configuration, config_b: Configuration,
@@ -170,9 +194,9 @@ def build_connecting_multiplier(config_a: Configuration, config_b: Configuration
     for z in delta_set(config_a, disk_radius):
         gap_a = base_section(config_a).gap_at(z)
         image = h.map_gap(gap_a)
-        k = count_between(config_b, z + h.shift, base_gap(config_b, z + h.shift), image)
+        k = count_between(config_b, image.z, base_gap(config_b, image.z), image)
         if k:
-            out[z + h.shift] = k
+            out[image.z] = k
     return Multiplier.from_divisor(out)
 
 
@@ -209,8 +233,8 @@ def apply_isomorphism(data: IsomorphismData, point: ManifoldPoint,
                       via_section: Optional[CombinatorialSection] = None) -> ManifoldPoint:
     """Map a point of the source through matched section charts: the image
     has the same chart coordinates under the target chart with the
-    connecting multiplier folded in.  The complex moment value is preserved
-    up to the certificate's uniform shift."""
+    connecting multiplier folded in.  The complex moment value moves by
+    the certificate's base map."""
     ca, cb = data.h.config_a, data.h.config_b
     p = as_point(point.zeta)
     if abs(p.z) > data.disk_radius:
@@ -228,10 +252,11 @@ def apply_isomorphism(data: IsomorphismData, point: ManifoldPoint,
     pq = chart_forward(ca, section, mult, point, eps)
     target_section = data.h.map_section(section)
     target_mult_divisor = section_base_divisor(cb, target_section)
-    combo = mult.shifted(data.h.shift).product(data.phi0)
+    combo = Multiplier.from_divisor(
+        {data.h.base(z): k for z, k in mult.divisor.entries}).product(data.phi0)
     if combo.divisor != target_mult_divisor:
         raise NotIsomorphic(
             "section divisor mismatch between source image and target; "
             "certificate disk too small")
     return chart_inverse(cb, target_section, combo,
-                         (pq[0], pq[1] + data.h.shift), eps)
+                         (pq[0], data.h.base(pq[1])), eps)

@@ -64,6 +64,16 @@ def _rounding_slop(magnitude: float) -> float:
     return 64.0 * _EPS * (1.0 + magnitude)
 
 
+def _reachable(rounding: float, eps: float) -> float:
+    """``rounding`` when it is below eps; otherwise no truncation can meet
+    eps, so raise TailUnresolved with the bound that is reachable."""
+    if rounding > eps:
+        raise TailUnresolved(
+            f"requested tolerance {eps:.3g} unreachable: rounding alone "
+            f"bounds the error at {rounding:.3g}")
+    return rounding
+
+
 def _grow(config: Configuration, n: int):
     limit = config.family.clamp(config.max_truncation)
     if n >= limit:
@@ -149,7 +159,7 @@ def phi(config: Configuration, zeta, eps: float = 1e-10) -> CertifiedValue:
     def accept(n):
         total, err = _potential_sum(config, n, p.t, p.z)
         total = float(total)
-        bound = (err + _rounding_slop(abs(total))) / 4.0
+        bound = err / 4.0 + _reachable(_rounding_slop(abs(total)) / 4.0, eps)
         return CertifiedValue(total / 4.0, bound) if bound <= eps else None
     return _refine(config, accept)
 
@@ -219,7 +229,8 @@ def flow_log_g_sum(config: Configuration, eta_t: float, zeta_t: float, z,
             terms = np.where(plus, np.log1p(num / den), -np.log1p(num / den))
         partial = float(np.sum(terms))
         est, err = fam.flow_tail(n, zeta_t, eta_t, z)
-        bound = (err + _rounding_slop(np.abs(terms).sum() + abs(est))) / 4.0
+        bound = err / 4.0 + _reachable(
+            _rounding_slop(np.abs(terms).sum() + abs(est)) / 4.0, eps)
         return CertifiedValue((partial + est) / 4.0, bound) if bound <= eps else None
     return _refine(config, accept)
 

@@ -3,7 +3,6 @@ pass/fail line per criterion.  Run with ``pytest tests/test_acceptance.py -v -s`
 """
 
 import cmath
-import itertools
 import math
 import random
 import time
@@ -11,15 +10,14 @@ import time
 import mpmath
 import numpy as np
 
-from ainfty.charts import (
-    Multiplier, act, canonical_multiplier, chart_forward, chart_inverse,
-    gauge_point, section_coordinate, transition,
-)
-from ainfty.config import delta_set, fiber, finite_list, power_law
+from ainfty.charts import act, gauge_point
+from ainfty.config import finite_list, power_law
 from ainfty.geometry import ImHPoint
-from ainfty.isomorphism import apply_isomorphism, build_isomorphism, isomorphism_exists
-from ainfty.potential import flow_log_g, flow_log_g_sum, growth_exponent, phi
-from ainfty.quotient import base_section, class_of, same_class, section_divisor
+from ainfty.isomorphism import apply_isomorphism, build_isomorphism
+from ainfty.potential import growth_exponent, phi
+from ainfty.quotient import base_section, class_of
+from ainfty.verification import (suite_charts, suite_isomorphism, suite_potential,
+                                 suite_quotient)
 
 PL2 = power_law(2.0, truncation=1024)
 PL3 = power_law(3.0, truncation=1024)
@@ -28,6 +26,14 @@ PL3 = power_law(3.0, truncation=1024)
 def _report(name, passed, detail):
     print(f"ACCEPTANCE {name}: {'PASS' if passed else 'FAIL'} ({detail})")
     assert passed, f"{name}: {detail}"
+
+
+def _report_suite(name, suite, trials):
+    """Criteria 3-5 and 7 run the ``ainfty verify`` suites at seed 42."""
+    results = suite(42, trials=trials)
+    _report(name, all(passed for _, passed, _ in results), "; ".join(
+        f"{check}{'' if passed else ' FAILED'}{': ' + detail if detail else ''}"
+        for check, passed, detail in results))
 
 
 # -- 1. volume growth ---------------------------------------------------------
@@ -89,170 +95,22 @@ def test_criterion_2_potential_accuracy():
 # -- 3. flow identity ---------------------------------------------------------
 
 def test_criterion_3_flow_identity():
-    rng = random.Random(42)
-    h = 1e-4
-    worst_fd = 0.0
-    for _ in range(100):
-        k = rng.randint(1, 5)
-        lo, hi = -((k + 1) ** 2), -(k * k)
-        eta = rng.uniform(lo + 0.5, hi - 0.5)
-        zeta = rng.uniform(lo + 0.5, hi - 0.5)
-        fp = flow_log_g_sum(PL2, eta + h, zeta, 0j, eps=1e-12).value
-        fm = flow_log_g_sum(PL2, eta - h, zeta, 0j, eps=1e-12).value
-        mid = phi(PL2, ImHPoint(eta, 0j), 1e-12).value
-        worst_fd = max(worst_fd, abs((fp - fm) / (2 * h) - mid) / mid)
-    ok_fd = worst_fd <= 1e-6
-
-    ok_pair = True
-    worst_gap = 0.0
-    for _ in range(100):
-        k = rng.randint(1, 4)
-        lo, hi = -((k + 1) ** 2), -(k * k)
-        a, b = rng.uniform(lo + 0.3, hi - 0.3), rng.uniform(lo + 0.3, hi - 0.3)
-        z = 0j if rng.random() < 0.7 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if z != 0:
-            a, b = rng.uniform(-20, 20), rng.uniform(-20, 20)
-        v1 = flow_log_g(PL2, z, a, b, eps=1e-9)
-        v2 = flow_log_g_sum(PL2, b, a, z, eps=1e-10)
-        worst_gap = max(worst_gap, abs(v1.value - v2.value))
-        if abs(v1.value - v2.value) > v1.error_bound + v2.error_bound + 1e-13:
-            ok_pair = False
-
-    single = finite_list([(0.0, 0j)])
-    v = flow_log_g(single, 1 + 0j, 0.0, 1.0, eps=1e-11)
-    ok_closed = abs(v.value - math.asinh(1.0) / 4.0) <= 1e-10
-
-    _report("3 flow identity (derivative, dual route, closed form)",
-            ok_fd and ok_pair and ok_closed,
-            f"worst FD rel {worst_fd:.1e}, worst route gap {worst_gap:.1e}, "
-            f"asinh defect {abs(v.value - math.asinh(1.0) / 4.0):.1e}")
+    _report_suite("3 flow identity (derivative, dual route, closed form)",
+                  suite_potential, 100)
 
 
 # -- 4. quotient combinatorics ------------------------------------------------
 
-def _segment_brute(config, a, b):
-    if a.z != b.z:
-        return False
-    lo, hi = min(a.t, b.t), max(a.t, b.t)
-    lr, lc = config.center_arrays()
-    return not any(-z == a.z and lo <= -t <= hi
-                   for t, z in zip(lr.tolist(), lc.tolist()))
-
-
 def test_criterion_4_quotient_combinatorics():
-    rng = random.Random(42)
-    ok_cls = True
-    for _ in range(1000):
-        n = rng.randint(1, 8)
-        heights = rng.sample(range(-40, 40), n)
-        cfg = finite_list([(float(-h), 0j) for h in heights])
-        z = 0j if rng.random() < 0.8 else 1j
-        a = ImHPoint(rng.uniform(-45, 45), z)
-        b = ImHPoint(rng.uniform(-45, 45), 0j)
-        if same_class(cfg, a, b) != _segment_brute(cfg, a, b):
-            ok_cls = False
-
-    ok_coc = ok_anti = True
-    for _ in range(1000):
-        n = rng.randint(1, 7)
-        heights = [h for h in rng.sample(range(-30, 30), n) if h != 0] or [1]
-        cfg = finite_list([(float(-h), 0j) for h in heights])
-        secs = []
-        for _ in range(3):
-            t = rng.uniform(-35, 35)
-            gap = class_of(cfg, ImHPoint(t, 0j))
-            while gap.is_fixed:
-                t += 1e-3
-                gap = class_of(cfg, ImHPoint(t, 0j))
-            secs.append(base_section(cfg).deviate(0j, gap))
-        k12 = section_divisor(cfg, secs[0], secs[1], 50.0)
-        k23 = section_divisor(cfg, secs[1], secs[2], 50.0)
-        if k12 + k23 != section_divisor(cfg, secs[0], secs[2], 50.0):
-            ok_coc = False
-        if section_divisor(cfg, secs[1], secs[0], 50.0) != -k12:
-            ok_anti = False
-
-    _report("4 quotient combinatorics (brute force, cocycle, antisymmetry)",
-            ok_cls and ok_coc and ok_anti, "1000 trials each, exact")
+    _report_suite("4 quotient combinatorics (brute force, cocycle, antisymmetry)",
+                  suite_quotient, 1000)
 
 
 # -- 5. chart correctness -----------------------------------------------------
 
-def _section_k(config, k):
-    s = base_section(config)
-    if k == 0:
-        return s
-    mid = -(k * k + (k + 1) ** 2) / 2.0
-    return s.deviate(0j, class_of(config, ImHPoint(mid, 0j)))
-
-
 def test_criterion_5_chart_correctness():
-    rng = random.Random(42)
-    worst_rt = 0.0
-    n_rt = 0
-    for k in range(5):
-        s = _section_k(PL2, k)
-        m = canonical_multiplier(PL2, s)
-        lo, hi = s.gap_at(0j).bounds(PL2)
-        done = 0
-        while done < 100:
-            if k > 0 and done % 2 == 0:
-                pt = gauge_point(PL2, rng.uniform(lo + 0.3, hi - 0.3), 0j,
-                                 rng.uniform(0, 2 * math.pi))
-            else:
-                q = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or (1 + 0j)
-                pt = gauge_point(PL2, rng.uniform(-8, 8), q, rng.uniform(0, 2 * math.pi))
-                if class_of(PL2, pt.zeta) != s.gap_at(pt.zeta.z):
-                    continue
-            p, q = chart_forward(PL2, s, m, pt)
-            back = chart_inverse(PL2, s, m, (p, q))
-            p2, _ = chart_forward(PL2, s, m, back)
-            worst_rt = max(worst_rt,
-                           abs(back.zeta.t - pt.zeta.t) / (1 + abs(pt.zeta.t)),
-                           abs(p2 - p) / abs(p))
-            done += 1
-            n_rt += 1
-    ok_rt = worst_rt <= 1e-8
-
-    worst_eq = 0.0
-    for _ in range(100):
-        q = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) or (1 + 0j)
-        pt = gauge_point(PL2, rng.uniform(-4, 4), q, rng.uniform(0, 2 * math.pi))
-        g = cmath.rect(math.exp(rng.uniform(-1.5, 1.5)), rng.uniform(0, 2 * math.pi))
-        s = base_section(PL2)
-        a = section_coordinate(PL2, s, Multiplier.one(), act(PL2, pt, g))
-        b = g * section_coordinate(PL2, s, Multiplier.one(), pt)
-        worst_eq = max(worst_eq, abs(a - b) / abs(b))
-    ok_eq = worst_eq <= 1e-8
-
-    m1 = Multiplier.one()
-    m2 = Multiplier.from_divisor({1 + 0j: 1})
-    m3 = Multiplier.from_divisor({1 + 0j: 2, -2 + 0j: -1})
-    ok_coc = all(
-        transition(m2, m3, transition(m1, m2, pq)) == transition(m1, m3, pq)
-        for pq in [(2 + 1j, 3 + 0j), (0.5 - 0.25j, -4 + 0j), (8 + 0j, 5 + 0j)])
-
-    worst_j = 0.0
-    h = 1e-5
-    ma = Multiplier.from_divisor({0j: -1})
-    mb = Multiplier.from_divisor({2 + 1j: 1, 0j: -1})
-    for _ in range(50):
-        p = cmath.rect(math.exp(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-        q = complex(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5))
-        lp = cmath.log(p)
-
-        def out(lp_, q_):
-            pp, _ = transition(ma, mb, (cmath.exp(lp_), q_))
-            return cmath.log(pp)
-
-        j11 = (out(lp + h, q) - out(lp - h, q)) / (2 * h)
-        worst_j = max(worst_j, abs(j11 - 1.0))
-    ok_j = worst_j <= 1e-6
-
-    _report("5 charts (round trips, equivariance, cocycle, symplectic form)",
-            ok_rt and ok_eq and ok_coc and ok_j,
-            f"{n_rt} round trips worst {worst_rt:.1e}, equivariance {worst_eq:.1e}, "
-            f"cocycle exact {ok_coc}, Jacobian defect {worst_j:.1e}")
+    _report_suite("5 charts (round trips, equivariance, cocycle, symplectic form)",
+                  suite_charts, 100)
 
 
 # -- 6. the mapped charts between the two power laws --------------------------
@@ -291,45 +149,6 @@ def test_criterion_6_biholomorphism():
 
 # -- 7. classifier ------------------------------------------------------------
 
-def _brute_isomorphic(a, b, radius):
-    da, db = delta_set(a, radius), delta_set(b, radius)
-    if da != db:
-        return False
-    for z in da:
-        ha, hb = fiber(a, z).heights, fiber(b, z).heights
-        if len(ha) != len(hb):
-            return False
-        if not ha:
-            continue
-        if not any(all(x < y for x, y in zip(img, img[1:]))
-                   for img in ([hb[i] for i in perm]
-                               for perm in itertools.permutations(range(len(hb))))):
-            return False
-    return True
-
-
 def test_criterion_7_classifier():
-    rng = random.Random(42)
-    bases = [0j, 1 + 0j, 1j]
-    ok = True
-    for _ in range(1000):
-        def mk():
-            n = rng.randint(1, 8)
-            cs = set()
-            while len(cs) < n:
-                cs.add((float(rng.randint(-9, 9)), rng.choice(bases)))
-            return finite_list(sorted(cs, key=str))
-        a, b = mk(), mk()
-        if isomorphism_exists(a, b, 5.0, allow_shift=False).isomorphic \
-                != _brute_isomorphic(a, b, 5.0):
-            ok = False
-
-    centers = [(1.0, 0j), (-3.0, 2 + 1j), (4.0, 2 + 1j)]
-    a = finite_list(centers)
-    b = finite_list([(t + 0.7, z - 0.25 + 0.5j) for t, z in centers])
-    perm = finite_list([centers[1], centers[2], centers[0]])
-    ok_inv = isomorphism_exists(a, b, 10.0).isomorphic \
-        and isomorphism_exists(a, perm, 10.0, allow_shift=False).isomorphic
-
-    _report("7 classifier (exhaustive agreement, invariances)",
-            ok and ok_inv, "1000 instances + translation/permutation")
+    _report_suite("7 classifier (matching search, shifts, invariances)",
+                  suite_isomorphism, 1000)

@@ -1,9 +1,12 @@
 """The benchmark's traced run (``bench/run.py --trace 1``) replaces library
-functions by name; a refactor that drops one of them must fail here."""
+functions by name, and its ``cli`` workload runs verify suites by name; a
+refactor that drops one of them must fail here."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from ainfty.verification import SUITES
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -21,3 +24,7 @@ def test_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), name
     for name, module, base, _, _ in layers.METHODS:
         assert isinstance(getattr(importlib.import_module(module), base), type), name
+
+
+def test_cli_suites_are_verify_suites():
+    assert set(_load_layers().CLI_SUITES) <= set(SUITES)

@@ -9,10 +9,9 @@ import pytest
 
 from ainfty.charts import (
     Multiplier, act, base_coordinate, canonical_multiplier, chart_forward,
-    chart_inverse, convergent_product, gauge_point, moduli_from_moment,
-    section_coordinate, split_center, split_centers,
+    chart_inverse, gauge_point, section_coordinate,
 )
-from ainfty.config import finite_list, power_law
+from ainfty.config import finite_list, moduli_pair, power_law
 from ainfty.errors import (NotChartAdmissible, OutsideOverlap, SectionMismatch,
                            SingularPoint, WrongDivisor)
 from ainfty.geometry import ImHPoint
@@ -22,64 +21,21 @@ from ainfty.quotient import base_section, class_of
 PL2 = power_law(2.0, truncation=2048)
 
 
-def quat_mul(a, b):
-    # (w, x, y, z) components of w + xi + yj + zk
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
-
-def quat_from_pair(alpha, beta):
-    # alpha + beta j = Re(a) + Im(a) i + Re(b) j + Im(b) k
-    return (alpha.real, alpha.imag, beta.real, beta.imag)
-
-
-def test_split_center_examples():
-    cfg = power_law(2.0, truncation=16)
-    for n in (1, 2, 5):
-        a, b = split_center(cfg, n)
-        assert abs(a - n) <= 1e-12 and b == 0
-    a, b = split_center(finite_list([(-4.0, 0j)]), 0)
-    assert abs(a) <= 1e-12 and abs(b - 2.0) <= 1e-12
-    a, b = split_center(finite_list([(3.0, 4 + 0j)]), 0)
-    assert abs(a - 2.0) <= 1e-12 and abs(b - 1.0) <= 1e-12
-
-
-def test_split_center_quaternion_oracle():
-    rng = random.Random(3)
-    for _ in range(50):
-        lr = rng.choice([-1, 1]) * rng.uniform(0.1, 9)
-        lc = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        a, b = split_center(finite_list([(lr, lc)]), 0)
-        lam = quat_mul(quat_mul(quat_from_pair(a, b), (0, 1, 0, 0)),
-                       (a.real, -a.imag, -b.real, -b.imag))
-        # lambda = lr*i - lc*k has components (0, lr, Im lc, -Re lc)
-        assert abs(lam[0]) <= 1e-12
-        assert abs(lam[1] - lr) <= 1e-12 * (1 + abs(lr))
-        assert abs(lam[2] - lc.imag) <= 1e-12 * (1 + abs(lc))
-        assert abs(lam[3] + lc.real) <= 1e-12 * (1 + abs(lc))
-
-
 def test_split_requires_nonzero_real_part():
+    cfg = finite_list([(0.0, 1 + 0j)])
     with pytest.raises(NotChartAdmissible):
-        split_center(finite_list([(0.0, 1 + 0j)]), 0)
-    split_centers(PL2, 32)
+        base_coordinate(cfg, gauge_point(cfg, 0.0, 0j))
 
 
 def test_moduli_examples():
-    z2, w2 = moduli_from_moment(PL2, ImHPoint(0.0, 0j), 1)
+    z2, w2 = moduli_pair(*PL2.center(1), ImHPoint(0.0, 0j))
     assert abs(z2 - 1.0) <= 1e-14 and abs(w2) <= 1e-14
-    z2, w2 = moduli_from_moment(PL2, ImHPoint(-4.0, 0j), 2)
+    z2, w2 = moduli_pair(*PL2.center(2), ImHPoint(-4.0, 0j))
     assert z2 == 0.0 and w2 == 0.0
     # positive-real-part centers keep z_n nonzero on the zero-height locus
     cfg = finite_list([(2.0, 1 + 1j), (-3.0, 2j)])
     for n in (0, 1):
-        z2, w2 = moduli_from_moment(cfg, ImHPoint(0.0, 0.3 - 0.7j), n)
+        z2, w2 = moduli_pair(*cfg.center(n), ImHPoint(0.0, 0.3 - 0.7j))
         assert z2 * w2 >= 0
         if cfg.center(n)[0] > 0:
             assert z2 > 0
@@ -89,8 +45,8 @@ def test_moduli_examples():
     for _ in range(100):
         p = ImHPoint(rng.uniform(-9, 9), complex(rng.uniform(-9, 9), rng.uniform(-9, 9)))
         n = rng.randint(0, 1)
-        z2, w2 = moduli_from_moment(cfg, p, n)
         lr, lc = cfg.center(n)
+        z2, w2 = moduli_pair(lr, lc, p)
         assert abs(z2 - w2 - (p.t + lr)) <= 1e-12 * (1 + abs(p.t + lr))
         assert abs(z2 * w2 - abs(p.z + lc) ** 2 / 4) <= 1e-12 * (1 + abs(p.z + lc) ** 2)
 
@@ -251,32 +207,6 @@ def transition_eq(m1, m2, pq):
     return transition(m1, m2, pq)
 
 
-def test_transition_cocycle_exact_curated():
-    from ainfty.charts import transition
-    m1 = Multiplier.one()
-    m2 = Multiplier.from_divisor({1 + 0j: 1})
-    m3 = Multiplier.from_divisor({1 + 0j: 2, -2 + 0j: -1})
-    for pq in [(2 + 1j, 3 + 0j), (0.5 - 0.25j, -4 + 0j), (8 + 0j, 5 + 0j)]:
-        step = transition(m2, m3, transition(m1, m2, pq))
-        direct = transition(m1, m3, pq)
-        assert step == direct   # bit-exact for integer-coefficient multipliers
-
-
-def test_transition_cocycle_random():
-    from ainfty.charts import transition
-    rng = random.Random(31)
-    for _ in range(200):
-        ms = [Multiplier.from_divisor(
-            {complex(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-2, 2)
-             for _ in range(rng.randint(0, 3))}) for _ in range(3)]
-        q = complex(rng.uniform(4, 6), rng.uniform(4, 6))   # away from supports
-        p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or 1 + 0j
-        a = transition(ms[1], ms[2], transition(ms[0], ms[1], (p, q)))
-        b = transition(ms[0], ms[2], (p, q))
-        assert abs(a[0] - b[0]) <= 1e-12 * max(1.0, abs(b[0]))
-        assert a[1] == b[1]
-
-
 def test_transition_preserves_log_symplectic_form():
     from ainfty.charts import transition
     m1 = Multiplier.from_divisor({0j: -1})
@@ -321,16 +251,3 @@ def test_overlap_charts_related_by_transition():
             glued = transition(m1, m2, (p1, q1))
             assert q2 == q1
             assert abs(glued[0] - p2) <= 1e-10 * abs(p2)
-
-
-def test_convergent_product_matches_direct():
-    rng = random.Random(53)
-    for _ in range(50):
-        n = rng.randint(5, 60)
-        xs = [cmath.rect(rng.uniform(0, 1) * 0.5 ** k, rng.uniform(0, 6.28))
-              for k in range(n)]
-        direct = 1 + 0j
-        for x in xs:
-            direct *= (1 + x)
-        stable = convergent_product(xs)
-        assert abs(stable - direct) <= 1e-10 * abs(direct)

@@ -179,7 +179,9 @@ def test_growth_beta_shortcut(capsys):
     assert lines[1] == "rho,W,logrho,logW" and lines[-1].startswith("slope,")
 
 
-def test_verify_suite(capsys):
-    code, out, _ = _run(capsys, ["verify", "--suite", "core", "--seed", "7"])
+@pytest.mark.parametrize("suite", ["core", "quotient", "isomorphism"])
+def test_verify_suite(capsys, suite):
+    code, out, _ = _run(capsys, ["verify", "--suite", suite, "--seed", "7"])
     assert code == 0
-    assert "[PASS] core:" in out and "[FAIL]" not in out
+    checks = out.strip().splitlines()[1:]
+    assert checks and all(line.startswith(f"[PASS] {suite}: ") for line in checks)

@@ -1,7 +1,6 @@
 """Classifier, order matching, connecting multiplier, and the mapped charts."""
 
 import cmath
-import itertools
 import math
 import random
 
@@ -16,6 +15,7 @@ from ainfty.isomorphism import (
     isomorphism_exists,
 )
 from ainfty.quotient import class_of
+from ainfty.verification import _brute_isomorphic
 
 PL2 = power_law(2.0, truncation=1024)
 PL3 = power_law(3.0, truncation=1024)
@@ -143,47 +143,6 @@ def test_apply_chart_independence():
         assert abs(d) <= 1e-8
 
 
-def _brute_force_isomorphic(a, b, radius):
-    """Exhaustive search over increasing bijections per fiber."""
-    from ainfty.config import delta_set, fiber
-    da, db = delta_set(a, radius), delta_set(b, radius)
-    if da != db:
-        return False
-    for z in da:
-        ha = fiber(a, z).heights
-        hb = fiber(b, z).heights
-        found = False
-        for perm in itertools.permutations(range(len(hb))):
-            if len(perm) != len(ha):
-                break
-            image = [hb[i] for i in perm]
-            if all(x < y for x, y in zip(image, image[1:])):
-                found = True
-                break
-        if len(ha) != len(hb):
-            found = False
-        if not found and (ha or hb):
-            return False
-        if not ha and not hb:
-            continue
-    return True
-
-
-def test_classifier_agrees_with_brute_force():
-    rng = random.Random(20240809)
-    bases = [0j, 1 + 0j, 1j]
-    for _ in range(300):
-        def mk():
-            n = rng.randint(1, 6)
-            cs = set()
-            while len(cs) < n:
-                cs.add((float(rng.randint(-9, 9)), rng.choice(bases)))
-            return finite_list(sorted(cs, key=str))
-        a, b = mk(), mk()
-        got = isomorphism_exists(a, b, 5.0, allow_shift=False).isomorphic
-        assert got == _brute_force_isomorphic(a, b, 5.0)
-
-
 def test_invariance_under_translation_and_permutation():
     centers = [(1.0, 0j), (-3.0, 2 + 1j), (4.0, 2 + 1j)]
     a = finite_list(centers)
@@ -194,6 +153,33 @@ def test_invariance_under_translation_and_permutation():
     assert not isomorphism_exists(a, b, 10.0, allow_shift=False).isomorphic
     perm = finite_list([centers[2], centers[0], centers[1]])
     assert isomorphism_exists(a, perm, 10.0, allow_shift=False).isomorphic
+
+
+def test_decimal_translation_classified_built_and_applied():
+    centers = [(1.0, 0j), (-3.0, 2 + 1j), (4.0, 2 + 1j)]
+    a = finite_list(centers)
+    b = finite_list([(t, z + (0.1 + 0.2j)) for t, z in centers])
+    cert = isomorphism_exists(a, b, 10.0)
+    assert cert.isomorphic, cert.obstruction
+    assert abs(cert.shift + (0.1 + 0.2j)) <= 1e-15
+    assert {f.z_b for f in cert.fibers} == {-lc for _, lc in b.family.centers}
+    data = build_isomorphism(a, b, 10.0)
+    for t in (0.5, -2.0, -5.0):
+        pt = gauge_point(a, t, -(2 + 1j), 0.3)
+        img = apply(data, pt)
+        assert img.zeta.z == -((2 + 1j) + (0.1 + 0.2j))   # b's base, exactly
+        assert class_of(b, img.zeta) == data.h.map_gap(class_of(a, pt.zeta))
+
+
+def test_classifier_oracle_counts_and_shifts():
+    a = finite_list([(1.0, 0j), (2.0, 0j), (3.0, 1 + 0j)])
+    fewer = finite_list([(1.0, 0j), (3.0, 1 + 0j)])     # one point less over 0
+    moved = finite_list([(t + 0.3, z + (0.1 - 0.7j)) for t, z in a.family.centers])
+    assert not _brute_isomorphic(a, fewer, 5.0)
+    assert not _brute_isomorphic(a, fewer, 5.0, allow_shift=True)
+    assert not _brute_isomorphic(a, moved, 5.0)
+    assert _brute_isomorphic(a, moved, 5.0, allow_shift=True)
+    assert isomorphism_exists(a, moved, 5.0).isomorphic
 
 
 def test_classifier_functorial():

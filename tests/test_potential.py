@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ainfty.config import finite_list, power_law
-from ainfty.errors import InsufficientRange, RayHitsCenter, SegmentHitsCenter, SingularPoint
+from ainfty import potential
+from ainfty.errors import (InsufficientRange, RayHitsCenter, SegmentHitsCenter,
+                           SingularPoint, TailUnresolved)
 from ainfty.geometry import ImHPoint
 from ainfty.potential import (
     CertifiedValue, _phi_batch, flow_log_g, flow_log_g_sum, growth_exponent,
@@ -52,6 +54,20 @@ def test_phi_singular_point():
         phi(SINGLE, ImHPoint(0.0, 0j))
     with pytest.raises(SingularPoint):
         phi(PL2, ImHPoint(-4.0, 0j))
+
+
+def test_unreachable_eps_raises_before_growing(monkeypatch):
+    # rounding alone bounds phi near a center at 3.56e-12 and this flow sum
+    # at 1.55e-11; doubling N cannot lower either below 1e-12
+    def grow(*args):
+        raise AssertionError("N doubled although eps is out of reach")
+    monkeypatch.setattr(potential, "_grow", grow)
+    pl = power_law(2.0, truncation=1024)
+    with pytest.raises(TailUnresolved, match="rounding alone bounds the error at 3.56e-12"):
+        phi(pl, ImHPoint(-0.999, 0j), 1e-12)
+    with pytest.raises(TailUnresolved, match="at 1.55e-11"):
+        flow_log_g_sum(pl, 3e4, -3e4, 0.5j, eps=1e-12)
+    assert phi(pl, ImHPoint(-0.999, 0j), 1e-11).error_bound <= 1e-11
 
 
 def _power_law_oracle(beta, t, c):
