@@ -207,6 +207,32 @@ def transition_eq(m1, m2, pq):
     return transition(m1, m2, pq)
 
 
+def test_transition_cocycle_exact_curated():
+    from ainfty.charts import transition
+    m1 = Multiplier.one()
+    m2 = Multiplier.from_divisor({1 + 0j: 1})
+    m3 = Multiplier.from_divisor({1 + 0j: 2, -2 + 0j: -1})
+    for pq in [(2 + 1j, 3 + 0j), (0.5 - 0.25j, -4 + 0j), (8 + 0j, 5 + 0j)]:
+        step = transition(m2, m3, transition(m1, m2, pq))
+        direct = transition(m1, m3, pq)
+        assert step == direct   # bit-exact for integer-coefficient multipliers
+
+
+def test_transition_cocycle_random():
+    from ainfty.charts import transition
+    rng = random.Random(31)
+    for _ in range(200):
+        ms = [Multiplier.from_divisor(
+            {complex(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-2, 2)
+             for _ in range(rng.randint(0, 3))}) for _ in range(3)]
+        q = complex(rng.uniform(4, 6), rng.uniform(4, 6))   # away from supports
+        p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or 1 + 0j
+        a = transition(ms[1], ms[2], transition(ms[0], ms[1], (p, q)))
+        b = transition(ms[0], ms[2], (p, q))
+        assert abs(a[0] - b[0]) <= 1e-12 * max(1.0, abs(b[0]))
+        assert a[1] == b[1]
+
+
 def test_transition_preserves_log_symplectic_form():
     from ainfty.charts import transition
     m1 = Multiplier.from_divisor({0j: -1})

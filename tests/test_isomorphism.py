@@ -143,6 +143,21 @@ def test_apply_chart_independence():
         assert abs(d) <= 1e-8
 
 
+def test_classifier_agrees_with_brute_force():
+    rng = random.Random(20240809)
+    bases = [0j, 1 + 0j, 1j]
+    for _ in range(300):
+        def mk():
+            n = rng.randint(1, 6)
+            cs = set()
+            while len(cs) < n:
+                cs.add((float(rng.randint(-9, 9)), rng.choice(bases)))
+            return finite_list(sorted(cs, key=str))
+        a, b = mk(), mk()
+        got = isomorphism_exists(a, b, 5.0, allow_shift=False).isomorphic
+        assert got == _brute_isomorphic(a, b, 5.0)
+
+
 def test_invariance_under_translation_and_permutation():
     centers = [(1.0, 0j), (-3.0, 2 + 1j), (4.0, 2 + 1j)]
     a = finite_list(centers)

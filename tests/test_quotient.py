@@ -10,6 +10,7 @@ from ainfty.quotient import (
     IntegerDivisor, Ordering, base_section, class_of,
     compare_classes, count_between, is_continuous, same_class, section_divisor,
 )
+from ainfty.verification import _segment_brute
 
 PL2 = power_law(2.0, truncation=64)
 
@@ -67,6 +68,18 @@ def test_compare_transitive_random():
                     assert rel[j, i] is Ordering.GREATER
 
 
+def test_same_class_matches_brute_force():
+    rng = random.Random(20240801)
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        heights = rng.sample(range(-40, 40), n)
+        cfg = finite_list([(float(-h), 0j) for h in heights])
+        z = 0j if rng.random() < 0.8 else 1j
+        a = ImHPoint(rng.uniform(-45, 45), z)
+        b = ImHPoint(rng.uniform(-45, 45), 0j)
+        assert same_class(cfg, a, b) == _segment_brute(cfg, a, b)
+
+
 def _pl2_section(gap_index):
     """Section of the squares config deviating at z=0 to the gap below the
     gap_index-th point (gap_index=0 means the base section)."""
@@ -86,6 +99,28 @@ def test_section_divisor_examples():
     k = section_divisor(PL2, o, s2, 10.0)
     assert k.as_dict() == {0j: -2}
     assert section_divisor(PL2, s2, o, 10.0) == -k
+
+
+def test_section_divisor_cocycle_antisymmetry_random():
+    rng = random.Random(99)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        heights = sorted(rng.sample(range(-30, 30), n))
+        cfg = finite_list([(float(-h), 0j) for h in heights if h != 0] or [(1.0, 0j)])
+        secs = []
+        for _ in range(3):
+            t = rng.uniform(-35, 35)
+            gap = class_of(cfg, ImHPoint(t, 0j))
+            while gap.is_fixed:
+                t += 1e-3
+                gap = class_of(cfg, ImHPoint(t, 0j))
+            secs.append(base_section(cfg).deviate(0j, gap))
+        s1, s2, s3 = secs
+        k12 = section_divisor(cfg, s1, s2, 50.0)
+        k23 = section_divisor(cfg, s2, s3, 50.0)
+        k13 = section_divisor(cfg, s1, s3, 50.0)
+        assert k12 + k23 == k13
+        assert section_divisor(cfg, s2, s1, 50.0) == -k12
 
 
 def test_count_between_incomparable_raises():
