@@ -4,7 +4,7 @@ W(rho) integrates the potential over the region of base points whose
 ray distance proxy (integral of sqrt(potential)) stays below rho.  For
 the power-law family the growth exponent is 4 - 2/(beta+1); a single
 center gives flat four-space and exponent 4.  Demo sample counts are small
-so this finishes in about a minute; the acceptance suite runs the
+so this finishes in a few seconds; the acceptance suite runs the
 contractual 10^6 samples.
 """
 import numpy as np

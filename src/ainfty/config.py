@@ -24,6 +24,7 @@ guards such as singular-point detection.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -48,6 +49,18 @@ def _binom_half(k: int) -> float:
     return (-1.0) ** k * math.comb(2 * k, k) / 4.0 ** k
 
 
+def _zeta_value(s: float, a: int) -> float:
+    """The Hurwitz zeta value zeta(s, a) from the module's current
+    ``hurwitz_zeta``, memoized per (s, a)."""
+    return _zeta_memo(hurwitz_zeta, s, a)
+
+
+@functools.lru_cache(maxsize=4096)
+def _zeta_memo(fn, s: float, a: int) -> float:
+    # keyed on fn too, so that a replaced hurwitz_zeta is called, not bypassed
+    return float(fn(s, a))
+
+
 def _powerlaw_tail_series(beta: float, n_centers: int, t, q, order: int = 8):
     """(estimate, error bound) for sum_{n>N} 1/sqrt((t+n^beta)^2 + c^2),
     q = t^2 + c^2, vectorized over points.
@@ -63,8 +76,7 @@ def _powerlaw_tail_series(beta: float, n_centers: int, t, q, order: int = 8):
     u1max = float(u1.max()) if u1.size else 0.0
     if u1max > 0.5 * s0:
         return None, math.inf
-    zv = {m: float(hurwitz_zeta(m * beta, n_centers + 1))
-          for m in range(1, 2 * order + 2)}
+    zv = {m: _zeta_value(m * beta, n_centers + 1) for m in range(1, 2 * order + 2)}
     est = np.zeros_like(t)
     for k in range(order + 1):
         bk = _binom_half(k)
@@ -370,7 +382,7 @@ class PowerLawFamily(_AxialDecreasingFamily):
     # --- sharp tails ------------------------------------------------------
 
     def _zeta(self, m: float, n_centers: int) -> float:
-        return float(hurwitz_zeta(m * self.beta, n_centers + 1))
+        return _zeta_value(m * self.beta, n_centers + 1)
 
     def min_tail_norm(self, n_centers):
         return float(n_centers + 1) ** self.beta
@@ -489,7 +501,8 @@ class FiniteListFamily(CenterFamily):
         return pts
 
     def fiber_bases(self, radius, n_centers):
-        return frozenset(-lc for lr, lc in self.centers if abs(lc) <= radius)
+        # 0j - lc, not -lc: an on-axis center gives the base 0j, not -0j
+        return frozenset(0j - lc for lr, lc in self.centers if abs(lc) <= radius)
 
     def fiber_points_window(self, z, lo, hi, n_max):
         return [(i, t) for i, t in self._fiber(z) if lo <= t <= hi]
@@ -633,7 +646,9 @@ class Configuration:
 
     ``truncation`` is the initial number of enumerated centers; adaptive
     operations may extend enumeration up to ``max_truncation`` before
-    raising TailUnresolved.
+    raising TailUnresolved.  Growth batches are the exception: they start
+    at one center and choose N per radius octave, often below
+    ``truncation``.
     """
 
     family: CenterFamily

@@ -7,13 +7,15 @@ the family's tail estimate (``phi_tail``), vectorized over points; ``phi``,
 the integrand of ``flow_log_g``, ``radial_distance``, the growth batches
 ``_phi_batch`` and the chart profile's derivative all call it.  One loop,
 ``_refine``, picks N for every certified quantity here and in the chart
-profile: it starts at the configuration's enumerated count and doubles N
-through ``_grow`` until the caller's bound meets its tolerance, raising
-TailUnresolved once N reaches max_truncation.  Flow quantities come in two
-deliberately independent routes: ``flow_log_g`` integrates Phi along a
-vertical segment with adaptive quadrature, while ``flow_log_g_sum``
-evaluates the explicit sum of log ratios; their agreement is one of the
-bundled invariants.
+profile: it doubles N through ``_grow`` until the caller's bound meets its
+tolerance, raising TailUnresolved once N reaches max_truncation.  It
+starts at the configuration's enumerated count, except in growth batches:
+``_phi_batch`` starts at one center and picks N per radius octave of its
+points, from the nearest octave outward, under the batch's one tolerance.
+Flow quantities come in two deliberately independent routes:
+``flow_log_g`` integrates Phi along a vertical segment with adaptive
+quadrature, while ``flow_log_g_sum`` evaluates the explicit sum of log
+ratios; their agreement is one of the bundled invariants.
 
 Normalization: both flow routes return the integral of the
 quarter-normalized potential, whose eta-derivative is exactly Phi.  The
@@ -115,25 +117,30 @@ def _potential_sum(config: Configuration, n: int, t, z, centers=None,
     chunk = max(256, 2_000_000 // max(lr.size, 1))
     for a in range(0, tv.size, chunk):
         b = min(a + chunk, tv.size)
-        d = tv[a:b, None] + lr[None, :]
+        # in place: one (chunk, N) temporary keeps peak memory down
+        s = tv[a:b, None] + lr[None, :]
+        s *= s
         c = np.abs(zv[a:b, None]) if axial else np.abs(zv[a:b, None] + lc[None, :])
-        s = np.sqrt(d * d + c ** 2)
+        s += c * c
+        np.sqrt(s, out=s)
         if floor is not None:
             np.maximum(s, 1e-9 * (1.0 + floor[a:b, None]), out=s)
-        out[a:b] = np.sum(1.0 / s, axis=1)
+        np.reciprocal(s, out=s)
+        out[a:b] = np.sum(s, axis=1)
     est, err = fam.phi_tail(n, t, z)
     return out.reshape(t.shape) + est, err
 
 
-def _tail_truncation(config: Configuration, t, z, tol: float):
-    """(N, bound): the first N whose quarter-normalized potential tail
-    bound at the points (t, z) is at most tol, and that bound."""
+def _tail_truncation(config: Configuration, t, z, tol: float, n=None):
+    """(N, bound): the first N, doubling from n (default the enumerated
+    count), whose quarter-normalized potential tail bound at the
+    points (t, z) is at most tol, and that bound."""
     fam = config.family
 
     def accept(n):
         _, err = fam.phi_tail(n, t, z)
         return (n, err / 4.0) if err / 4.0 <= tol else None
-    return _refine(config, accept)
+    return _refine(config, accept, n)
 
 
 def _scalar_phi(config: Configuration, ref_t, ref_z, tol: float):
@@ -291,14 +298,46 @@ def _axial_check(config: Configuration):
 
 def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
                rel_tol: float = 1e-5) -> np.ndarray:
-    """Vectorized potential for axial configurations; c = |z| >= 0.
-    Accuracy: relative rel_tol at the farthest point of the batch."""
+    """Vectorized potential for axial configurations at the 1-D arrays of
+    points (t, c), c = |z| >= 0.  Accuracy: absolute error at most
+    rel_tol / (4 (rmax + |lambda_first| + 1)), a relative rel_tol at the
+    farthest point of the batch.
+
+    The truncation is chosen per radius octave rmax 2^-(k+1) < r <=
+    rmax 2^-k (the last, k = 63, also holds every point below it), at the
+    octave's outer radius on the axis, from the nearest octave outward.
+    Every N is certified before any term is summed.  When the nearest
+    octave's N is also certified at rmax, it serves every octave and one
+    kernel call sums the points as given; otherwise each distinct N takes
+    one call on prefixes of one center array."""
     r = np.hypot(t, c)
     rmax = float(r.max())
     lr0 = abs(config.center(config.family.n_first)[0])
     scale = 1.0 / (4.0 * (rmax + lr0 + 1.0))   # lower bound for Phi at rmax
-    n, _ = _tail_truncation(config, rmax, 0.0, rel_tol * scale)
-    total, _ = _potential_sum(config, n, t, c, floor=r)
+    tol = rel_tol * scale
+    outer = np.ldexp(rmax, -np.arange(64))
+    edges = outer[::-1]
+    inner = 63 - int(np.searchsorted(edges, r.min()))
+    n_in, _ = _tail_truncation(config, outer[inner], 0.0, tol, config.family.clamp(1))
+    n, _ = _tail_truncation(config, rmax, 0.0, tol, n_in)
+    if n == n_in:       # the nearest octave's N is certified out to rmax
+        total, _ = _potential_sum(config, n, t, c, floor=r)
+        return total / 4.0
+
+    octave = 63 - np.searchsorted(edges, r)   # exact: r <= outer[octave]
+    filled = np.flatnonzero(np.bincount(octave))
+    n_at = np.zeros(inner + 1, dtype=int)
+    n = n_in
+    for k in filled[::-1]:
+        n, _ = _tail_truncation(config, outer[k], 0.0, tol, n)
+        n_at[k] = n
+    n_pt = n_at[octave]
+    lr, lc = config.family.center_arrays(n)
+    total = np.empty_like(r)
+    for m in np.unique(n_at[filled]).tolist():
+        idx = np.flatnonzero(n_pt == m)
+        total[idx], _ = _potential_sum(config, m, t[idx], c[idx], (lr[:m], lc[:m]),
+                                       floor=r[idx])
     return total / 4.0
 
 

@@ -151,6 +151,16 @@ def test_isom_and_map_point(tmp_path, capsys):
     assert -8.0 < t < -1.0 and (zre, zim) == (0.0, 0.0)
 
 
+def test_isom_on_axis_base_prints_positive_zero(tmp_path, capsys):
+    cfg = _write(tmp_path, "axis.json",
+                 {"family": "finite", "centers": [[1.0, 0.0, 0.0], [2.0, 0.0, 1.0]]})
+    code, out, _ = _run(capsys, ["isom", "--config-a", cfg, "--config-b", cfg])
+    assert code == 0
+    bases = [f["z"] for f in json.loads(out)["fibers"]]
+    assert sorted(bases) == [[0.0, -1.0], [0.0, 0.0]]
+    assert '"z": [0.0, 0.0]' in out and "-0.0" not in out
+
+
 def test_growth_csv_format(tmp_path, capsys):
     code, out, _ = _run(capsys, ["growth", "--config", _write(tmp_path, "s.json", SINGLE),
                                  "--rho-min", "10", "--rho-max", "1000",

@@ -70,16 +70,18 @@ def test_unreachable_eps_raises_before_growing(monkeypatch):
     assert phi(pl, ImHPoint(-0.999, 0j), 1e-11).error_bound <= 1e-11
 
 
-def _power_law_oracle(beta, t, c):
+def _power_law_oracle(beta, t, c, floor=0.0):
     """(1/4) sum_{n>=1} 1/sqrt((t + n^beta)^2 + c^2) in mpmath: the partial
     sum below M, where M^beta >= 8 |zeta| keeps the summand smooth, plus the
     Euler-Maclaurin tail from M (the integral taken in log x, then the B2
-    and B4 corrections)."""
+    and B4 corrections).  Distances in the partial sum are clamped to
+    ``floor``, as growth batches clamp them."""
     t, c = float(t), float(c)
     with mpmath.workdps(30):
         f = lambda x: 1 / mpmath.sqrt((t + x ** beta) ** 2 + c ** 2)
         m = int((8 * (abs(t) + c) + 1) ** (1 / beta)) + 200
-        partial = mpmath.fsum(f(n) for n in range(1, m))
+        partial = mpmath.fsum(
+            1 / max(mpmath.sqrt((t + n ** beta) ** 2 + c ** 2), floor) for n in range(1, m))
         integral = mpmath.quad(lambda u: f(mpmath.exp(u)) * mpmath.exp(u),
                                [mpmath.log(m), mpmath.inf])
         tail = (integral + f(m) / 2 - mpmath.diff(f, m, 1) / 12
@@ -131,6 +133,35 @@ def test_phi_batch_growth_points_match_oracle(beta, polar):
     for v, ti, ci in zip(_phi_batch(cfg, t, c), t, c):
         oracle = _power_law_oracle(beta, ti, ci)
         assert abs(v - oracle) <= 1e-5 * oracle
+
+
+def test_phi_batch_truncation_per_octave(monkeypatch):
+    # one batch over 37 radius octaves: the origin, 36 points at the outer
+    # edges r = rmax 2^-k of the octaves (on the axis at both signs and off
+    # it), out to the tail series' validity radius, and a point on a center
+    cfg = power_law(2.0, truncation=64)
+    rmax = 65 ** 2 / 4.5
+    angles = [0.0, math.pi, math.pi / 3, 2 * math.pi / 3, math.pi / 2]
+    polar = [(rmax * 2.0 ** -k, angles[k % 5]) for k in range(36)]
+    t = np.array([0.0, -4.0] + [r * math.cos(a) for r, a in polar])
+    c = np.array([0.0, 0.0] + [r * math.sin(a) for r, a in polar])
+    calls = []
+    kernel = potential._potential_sum
+
+    def spy(config, n, t, z, *args, **kwargs):
+        calls.append((n, np.hypot(t, z).min()))
+        return kernel(config, n, t, z, *args, **kwargs)
+    monkeypatch.setattr(potential, "_potential_sum", spy)
+    vals = _phi_batch(cfg, t, c)
+
+    n_nearest = min(n for n, r in calls if r == 0.0)
+    assert n_nearest < cfg.truncation
+    assert max(n for n, _ in calls) > cfg.truncation
+    tol = 1e-5 / (4.0 * (rmax + 1.0 + 1.0))      # the batch's certified bound
+    for v, ti, ci in zip(vals, t, c):
+        r = math.hypot(ti, ci)
+        oracle = _power_law_oracle(2.0, ti, ci, floor=1e-9 * (1.0 + r))
+        assert abs(v - oracle) <= tol + potential._rounding_slop(v), (ti, ci)
 
 
 def test_flow_zero_segment():
