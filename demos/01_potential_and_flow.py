@@ -25,7 +25,7 @@ v = phi(cfg, (250.0, 40 + 9j), 1e-9)
 print(f"potential far out at (250, 40+9i): {v.value!r} +/- {v.error_bound:.1e}")
 
 # The flow integral between two heights on a fiber line, computed two
-# independent ways: adaptive quadrature of the potential, and the explicit
+# independent ways: Gauss-Legendre panels on the potential, and the explicit
 # sum of log ratios.  Both require the segment to stay clear of centers.
 a, b, z = -2.5, -3.5, 0j
 quadrature = flow_log_g(cfg, z, a, b, eps=1e-10)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import TailUnresolved, UnknownOrderType
 from .geometry import ImHPoint, as_point
@@ -49,6 +48,58 @@ def _binom_half(k: int) -> float:
     return (-1.0) ** k * math.comb(2 * k, k) / 4.0 ** k
 
 
+# (2k)! / B_2k for the Euler-Maclaurin corrections of ``hurwitz_zeta``
+_EM_COEFFS = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16     # 2^-53
+
+
+def hurwitz_zeta(x: float, q: float) -> float:
+    """The Hurwitz zeta function sum_{k>=0} (k + q)^-x for x > 1, q > 0.
+
+    A port of the Euler-Maclaurin summation of the Cephes ``zeta(x, q)``
+    (the one scipy.special.zeta uses): the same loop, coefficients and
+    stopping tests, so values agree bit for bit.  Where every term
+    underflows the running sum is 0 and the stopping tests, 0/0 in C, never
+    fire; they are skipped here the same way and the result is 0.0.
+    """
+    x, q = float(x), float(q)
+    if not (x > 1.0 and q > 0.0):
+        raise ValueError("hurwitz_zeta needs x > 1 and q > 0")
+    if q > 1e8:     # asymptotic expansion, DLMF 25.11.43
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if s != 0.0 and abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coeff in _EM_COEFFS:
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s = s + t
+        if s != 0.0 and abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def _zeta_value(s: float, a: int) -> float:
     """The Hurwitz zeta value zeta(s, a) from the module's current
     ``hurwitz_zeta``, memoized per (s, a)."""
@@ -61,29 +112,45 @@ def _zeta_memo(fn, s: float, a: int) -> float:
     return float(fn(s, a))
 
 
-def _powerlaw_tail_series(beta: float, n_centers: int, t, q, order: int = 8):
+_TAIL_ORDER = 8
+
+
+def _powerlaw_tail_bound(beta: float, n_centers: int, t, q) -> float:
+    """The error bound of ``_powerlaw_tail_series`` without its estimate
+    (inf where the series is not valid)."""
+    s0 = float(n_centers + 1) ** beta
+    u1 = 2.0 * np.abs(t) + q / s0
+    u1max = float(u1.max()) if u1.size else 0.0
+    if u1max > 0.5 * s0:
+        return math.inf
+    return 2.0 * u1max ** (_TAIL_ORDER + 1) * _zeta_value(
+        (_TAIL_ORDER + 2) * beta, n_centers + 1)
+
+
+def _powerlaw_tail_series(beta: float, n_centers: int, t, q):
     """(estimate, error bound) for sum_{n>N} 1/sqrt((t+n^beta)^2 + c^2),
     q = t^2 + c^2, vectorized over points.
 
     Expands s^-1 (1+u)^(-1/2), u = (2t + q/s)/s, s = n^beta, into Hurwitz
     zeta values; |u| <= (2|t| + q/s0)/s <= 1/2 makes the dropped binomial
     tail at most 2 |u|^(order+1), summed to 2 u1^(order+1) zeta(beta(order+2)).
+    The estimate is a polynomial in t of degree at most 2 order.
     """
     t = np.asarray(t, dtype=float)
     q = np.asarray(q, dtype=float)
-    s0 = float(n_centers + 1) ** beta
-    u1 = 2.0 * np.abs(t) + q / s0
-    u1max = float(u1.max()) if u1.size else 0.0
-    if u1max > 0.5 * s0:
+    order = _TAIL_ORDER
+    err = _powerlaw_tail_bound(beta, n_centers, t, q)
+    if err == math.inf:
         return None, math.inf
     zv = {m: _zeta_value(m * beta, n_centers + 1) for m in range(1, 2 * order + 2)}
+    pow_2t = [(2.0 * t) ** j for j in range(order + 1)]
+    pow_q = [q ** i for i in range(order + 1)]
     est = np.zeros_like(t)
     for k in range(order + 1):
         bk = _binom_half(k)
         for i in range(k + 1):
             coeff = bk * math.comb(k, i)
-            est += coeff * (2.0 * t) ** (k - i) * q ** i * zv[k + i + 1]
-    err = 2.0 * u1max ** (order + 1) * zv[order + 2]
+            est += coeff * pow_2t[k - i] * pow_q[i] * zv[k + i + 1]
     return est, err
 
 
@@ -233,6 +300,10 @@ class CenterFamily:
         if not math.isfinite(b):
             return np.zeros_like(r), math.inf
         return np.full_like(r, b), b
+
+    def phi_tail_bound(self, n_centers: int, t, z) -> float:
+        """The error bound of ``phi_tail``, for truncation probes."""
+        return self.phi_tail(n_centers, t, z)[1]
 
     def log_tail(self, n_centers: int, t: float, z: complex):
         """(estimate, error bound) for the chart log-product tail at zeta."""
@@ -403,6 +474,10 @@ class PowerLawFamily(_AxialDecreasingFamily):
         if est is None:
             return np.zeros_like(q), math.inf
         return est, err
+
+    def phi_tail_bound(self, n_centers, t, z):
+        t = np.asarray(t, dtype=float)
+        return _powerlaw_tail_bound(self.beta, n_centers, t, t * t + np.abs(z) ** 2)
 
     def log_tail(self, n_centers, t, z):
         # log((S + t + s)/(2s)) = t/s + O(1/s^2) with certified constant

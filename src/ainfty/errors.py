@@ -14,6 +14,10 @@ class TailUnresolved(AinftyError):
     truncation (missing oracle, or max truncation exhausted)."""
 
 
+class QuadratureUnresolved(AinftyError):
+    """Quadrature panels cannot meet the requested tolerance."""
+
+
 class SingularPoint(AinftyError):
     """The queried point coincides with a center (within machine tolerance)."""
 

@@ -13,9 +13,10 @@ starts at the configuration's enumerated count, except in growth batches:
 ``_phi_batch`` starts at one center and picks N per radius octave of its
 points, from the nearest octave outward, under the batch's one tolerance.
 Flow quantities come in two deliberately independent routes:
-``flow_log_g`` integrates Phi along a vertical segment with adaptive
-quadrature, while ``flow_log_g_sum`` evaluates the explicit sum of log
-ratios; their agreement is one of the bundled invariants.
+``flow_log_g`` integrates Phi along a vertical segment on Gauss-Legendre
+panels (``quad``) sized by a Bernstein-ellipse error bound, while
+``flow_log_g_sum`` evaluates the explicit sum of log ratios; their
+agreement is one of the bundled invariants.
 
 Normalization: both flow routes return the integral of the
 quarter-normalized potential, whose eta-derivative is exactly Phi.  The
@@ -36,14 +37,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .config import Configuration
-from .errors import (InsufficientRange, RayHitsCenter, SegmentHitsCenter,
-                     SingularPoint, TailUnresolved)
+from .errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
+                     SegmentHitsCenter, SingularPoint, TailUnresolved)
 from .geometry import as_point
 
 _EPS = float(np.finfo(float).eps)
+
+# Gauss-Legendre nodes per panel: at least 9, so that each panel integrates
+# the power-law tail estimate, a polynomial of degree 16, exactly.
+_GL_N = 12
+_GL = leggauss(_GL_N)
+_GL2 = leggauss(2 * _GL_N)
+# Relative error of the _GL_N-node weights, which carry more rounding than
+# the nodes do (both checked against mpmath in the tests).
+_GL_WEIGHT_ERR = 1e-14
+# Bernstein ellipses reach this fraction of the way to the nearest
+# singularity of the integrand (see _bernstein_bound).
+_THETA = 0.9
+_MAX_PANELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -138,21 +152,9 @@ def _tail_truncation(config: Configuration, t, z, tol: float, n=None):
     fam = config.family
 
     def accept(n):
-        _, err = fam.phi_tail(n, t, z)
+        err = fam.phi_tail_bound(n, t, z)
         return (n, err / 4.0) if err / 4.0 <= tol else None
     return _refine(config, accept, n)
-
-
-def _scalar_phi(config: Configuration, ref_t, ref_z, tol: float):
-    """The potential as a function of (t, z) at the truncation whose tail
-    bound at the reference points is at most tol (keeps quadrature inner
-    loops cheap), and that bound."""
-    n, tail_err = _tail_truncation(config, ref_t, ref_z, tol)
-    centers = config.family.center_arrays(n)
-
-    def phi_at(t: float, z: complex) -> float:
-        return float(_potential_sum(config, n, t, z, centers)[0]) / 4.0
-    return phi_at, tail_err
 
 
 def phi(config: Configuration, zeta, eps: float = 1e-10) -> CertifiedValue:
@@ -183,24 +185,141 @@ def _segment_clear(config: Configuration, z: complex, lo: float, hi: float):
             f"[{lo}, {hi}] over {z}")
 
 
+def _bernstein_bound(lr, c2, lo, hi):
+    """(bound, distance) on each panel [lo_i, hi_i] for the integrand
+    sum_k 1/sqrt((t + lr_k)^2 + c2_k): a bound on the error of the
+    _GL_N-node rule, and a lower bound on the distance from the panel to
+    every branch point.
+
+    For an integrand analytic in the Bernstein ellipse E_rho of the panel
+    and bounded there by M, the error is at most
+    h 64 M / (15 (rho^2 - 1) rho^2n), h the half-length (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 19.3).  Term k is
+    analytic off its branch points p = -lr_k +- i sqrt(c2_k), which lie on
+    the confocal ellipse of semi-major axis h a_k, a_k h = (|p - lo| +
+    |p - hi|)/2.  Confocal ellipses are at least the difference of their
+    semi-major axes apart, so on E_rho with semi-major axis h a,
+    a = 1 + _THETA (min a_k - 1), term k is at most 1/(h (a_k - a)); the
+    panel itself is the confocal ellipse a = 1, h (min a_k - 1) from them.
+    """
+    h = 0.5 * (hi - lo)
+    out = np.empty_like(h)
+    dist = np.empty_like(h)
+    rows = max(1, 1_000_000 // max(lr.size, 1))
+    for i in range(0, h.size, rows):
+        j = min(i + rows, h.size)
+        a_k = np.sqrt((lo[i:j, None] + lr) ** 2 + c2)
+        a_k += np.sqrt((hi[i:j, None] + lr) ** 2 + c2)
+        a_k *= (0.5 / h[i:j])[:, None]
+        a_min = a_k.min(axis=1)
+        dist[i:j] = h[i:j] * (a_min - 1.0)
+        a = 1.0 + _THETA * (a_min - 1.0)
+        a_k -= a[:, None]
+        # a branch point that rounds onto the panel gives inf or nan: the
+        # panel is then rejected and halved
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m = np.sum(np.reciprocal(a_k, out=a_k), axis=1)
+            rho = a + np.sqrt(a * a - 1.0)
+            out[i:j] = 64.0 * m / (15.0 * (rho * rho - 1.0) * rho ** (2 * _GL_N))
+    # the factor covers the rounding of this evaluation, relative N eps at most
+    return out * (1.0 + 1e-9), dist
+
+
+def _gauss(func, lo, hi, *rules):
+    """Per-panel sums of each Gauss-Legendre rule over the panels
+    [lo_i, hi_i], from one call of func on all their nodes."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = [mid[:, None] + half[:, None] * x for x, _ in rules]
+    f = func(np.concatenate([v.ravel() for v in nodes]))
+    sums, at = [], 0
+    for v, (_, w) in zip(nodes, rules):
+        sums.append(half * (f[at:at + v.size].reshape(v.shape) @ w))
+        at += v.size
+    return sums
+
+
+def quad(func, a: float, b: float, panel_error):
+    """(value, bound): the integral of func from a to b (negative for
+    b < a) on panels of the _GL_N-node Gauss-Legendre rule.
+
+    func maps an array of nodes to an array of values.  Starting from the
+    one panel between a and b, each refinement level passes its pending
+    panels, as arrays lo < hi, to ``panel_error(func, lo, hi)``, which
+    returns for each panel an absolute error term, a relative one (a
+    multiple of the panel's sum, for errors that scale with it) and whether
+    the panel is accepted; rejected panels are halved.  Then func is called
+    once, on the nodes of every accepted panel, and the bound is the sum of
+    their error terms.  Raises QuadratureUnresolved when a rejected panel
+    cannot be halved or more than _MAX_PANELS are pending.
+    """
+    lo, hi = np.array([min(a, b)], dtype=float), np.array([max(a, b)], dtype=float)
+    done_lo, done_hi, done_rel, bound = [], [], [], 0.0
+    while lo.size:
+        err, rel, ok = panel_error(func, lo, hi)
+        bound += float(np.sum(err[ok]))
+        done_lo.append(lo[ok])
+        done_hi.append(hi[ok])
+        done_rel.append(rel[ok])
+        lo, hi = lo[~ok], hi[~ok]
+        mid = 0.5 * (lo + hi)
+        if lo.size > _MAX_PANELS or np.any((mid <= lo) | (mid >= hi)):
+            raise QuadratureUnresolved(
+                f"quadrature panels between {a!r} and {b!r} cannot meet the tolerance")
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    (sums,) = _gauss(func, np.concatenate(done_lo), np.concatenate(done_hi), _GL)
+    value = float(np.sum(sums))
+    bound += float(np.sum(np.concatenate(done_rel) * np.abs(sums)))
+    return (value if b >= a else -value), bound
+
+
 def flow_log_g(config: Configuration, z, from_t: float, to_t: float,
                eps: float = 1e-8) -> CertifiedValue:
     """log|g|^2 between two heights on a fiber line, as the integral of the
-    potential along the vertical segment (adaptive quadrature).
+    potential along the vertical segment, on Gauss-Legendre panels.
 
-    The segment must stay clear of centers.  The truncation part of the
-    error bound is certified; the quadrature part is QUADPACK's estimate.
+    The segment must stay clear of centers.  The error bound is certified:
+    the panels' Bernstein-ellipse bounds (at most eps/2), the tail bound
+    along the segment (at most eps/4) and rounding.  Rounding includes the
+    rule's: a node at height t lands within delta = 2^-51 (|t| + panel
+    length) of its place, which moves the integrand, whose log-derivative
+    is at most 1/distance to the nearest center, by a relative
+    delta / (distance - 3 delta) at most, and the weights are off by a
+    relative _GL_WEIGHT_ERR.  Raises TailUnresolved when the sum exceeds
+    eps, before any work when rounding alone must.
     """
     z = complex(z)
     if from_t == to_t:
         return CertifiedValue(0.0, 0.0)
+    _reachable(_rounding_slop(0.0), eps)
     lo, hi = min(from_t, to_t), max(from_t, to_t)
     _segment_clear(config, z, lo, hi)
     length = hi - lo
-    phi_at, tail_err = _scalar_phi(config, [lo, hi], [z, z], eps / (4.0 * length))
-    val, quad_err = quad(lambda t: phi_at(t, z), from_t, to_t,
-                         epsabs=eps / 2.0, epsrel=0.0, limit=400)
-    bound = abs(quad_err) + length * tail_err + _rounding_slop(abs(val))
+    ends = np.array([lo, hi])
+    n, tail_err = _tail_truncation(config, ends, [z, z], eps / (4.0 * length))
+    centers = config.family.center_arrays(n)
+    lr, c2 = centers[0], np.abs(z + centers[1]) ** 2
+
+    def panel_error(func, lo, hi):
+        err, dist = _bernstein_bound(lr, c2, lo, hi)
+        err /= 4.0
+        shift = 2.0 ** -51 * (np.maximum(np.abs(lo), np.abs(hi)) + (hi - lo))
+        with np.errstate(divide="ignore"):
+            rel = shift / np.maximum(dist - 3.0 * shift, 0.0) + _GL_WEIGHT_ERR
+        return err, rel, err <= eps / 2.0 * (hi - lo) / length
+
+    def integrand(t):
+        # the endpoints ride along: a coarse tail estimate, taken at the
+        # largest radius of the points, is then the one tail_err bounds
+        t = np.concatenate([t, ends])
+        total, _ = _potential_sum(config, n, t, np.full(t.shape, z), centers)
+        return total[:-2] / 4.0
+
+    val, quad_err = quad(integrand, from_t, to_t, panel_error)
+    bound = quad_err + length * tail_err + _rounding_slop(abs(val))
+    if not bound <= eps:
+        raise TailUnresolved(
+            f"requested tolerance {eps:.3g} unreachable: with rounding the "
+            f"bound is {bound:.3g}")
     return CertifiedValue(val, bound)
 
 
@@ -277,16 +396,22 @@ def radial_distance(config: Configuration, direction, R: float,
             f"center {int(np.flatnonzero(on_ray)[0])} lies on the ray; perturb the direction")
 
     far_z = complex(R * d[1], R * d[2])
-    phi_at, _ = _scalar_phi(config, [R * d[0], 0.5 * R * d[0]], [far_z, 0.5 * far_z],
+    n, _ = _tail_truncation(config, [R * d[0], 0.5 * R * d[0]], [far_z, 0.5 * far_z],
                             rel_tol / (4.0 * (R + 1.0)))
+    centers = fam.center_arrays(n)
+    dz = complex(d[1], d[2])
 
     def integrand(sigma):
         s = sigma * sigma
-        return 2.0 * sigma * math.sqrt(
-            max(phi_at(s * d[0], complex(s * d[1], s * d[2])), 0.0))
+        total, _ = _potential_sum(config, n, s * d[0], s * dz, centers)
+        return 2.0 * sigma * np.sqrt(np.maximum(total / 4.0, 0.0))
 
-    val, _ = quad(integrand, 0.0, math.sqrt(R), limit=400,
-                  epsabs=0.0, epsrel=rel_tol)
+    def panel_error(func, lo, hi):
+        q, q2 = _gauss(func, lo, hi, _GL, _GL2)
+        err = np.abs(q - q2)
+        return err, np.zeros_like(err), err <= rel_tol * np.abs(q2)
+
+    val, _ = quad(integrand, 0.0, math.sqrt(R), panel_error)
     return val
 
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ainfty
 from ainfty.cli import main
 
 PL2 = {"family": "power_law", "beta": 2.0, "truncation": 512}
@@ -196,3 +201,22 @@ def test_verify_suite(capsys):
         assert code == 0
         checks = out.strip().splitlines()[1:]
         assert checks and all(line.startswith(f"[PASS] {suite}: ") for line in checks)
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    cfg = _write(tmp_path, "c.json", PL2)
+    script = f"""
+import sys
+import ainfty.cli
+assert ainfty.cli.main(["phi", "--config={cfg}", "--point=0.3,0.1,0"]) == 0
+assert ainfty.cli.main(["flow", "--config={cfg}", "--z=0.2,0.1", "--from-t=-9",
+                        "--to-t=3"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ)
+    src = str(Path(ainfty.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,6 +1,7 @@
 """Configuration, fiber, and representative checks."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty.config import (
     Finite, OMEGA_DOWN, check_representative, config_digest, config_from_dict,
-    config_to_dict, delta_set, fiber, finite_list, general_axial, power_law,
-    representative_from_moment, validate,
+    config_to_dict, delta_set, fiber, finite_list, general_axial, hurwitz_zeta,
+    power_law, representative_from_moment, validate,
 )
 from ainfty.errors import TailUnresolved, UnknownOrderType
 from ainfty.geometry import ImHPoint
@@ -56,6 +57,56 @@ def test_finite_list_tails_vanish_at_full_truncation():
         assert (float(est), err) == (0.0, 0.0)
         assert fam.log_tail(fam.count, t, z) == (0.0, 0.0)
         assert fam.flow_tail(fam.count, t, t + 2.0, z) == (0.0, 0.0)
+
+
+# (s, a) = (m beta, N + 1) as the power-law tails ask for them: m = 1..17, and
+# N doubling from one center or from the truncations in use (1024 and 4096
+# are powers of two; the README's example has 10000)
+ZETA_GRID = [(m * beta, n + 1)
+             for beta in (1.05, 1.2, 1.5, 2.0, 2.5, 3.0, 7.3) for m in range(1, 18)
+             for n in sorted({1 << k for k in range(22)} | {10000 << k for k in range(8)})]
+
+
+def _random_zeta_args(seed, count):
+    rng = random.Random(seed)
+    return [(rng.uniform(1.01, 40.0), rng.choice((rng.uniform(0.5, 1e7),
+                                                  float(rng.randint(1, 1 << 22)))))
+            for _ in range(count)]
+
+
+def test_hurwitz_zeta_matches_scipy_bit_for_bit():
+    scipy_special = pytest.importorskip("scipy.special")
+    for s, a in ZETA_GRID + _random_zeta_args(11, 5000):
+        assert hurwitz_zeta(s, a) == scipy_special.zeta(s, a), (s, a)
+
+
+def test_hurwitz_zeta_matches_mpmath():
+    # The oracle keeps 30 significant digits: for integer a, mpmath.zeta
+    # subtracts a partial sum from zeta(s), so the working precision must
+    # also cover the cancellation (at a flat 30 digits, zeta(64, 513) comes
+    # out 3e-9 too large).  The Cephes summation is not correctly rounded:
+    # at the 3380 points of ZETA_GRID above 1e-290 it is off by up to 4.8
+    # ulps, and by more than 2 ulps at 73 of them, so the bound here is 8.
+    args = [(s, a) for s, a in ZETA_GRID[::11] if s * math.log10(a) < 290]
+    for s, a in args + _random_zeta_args(12, 60):
+        with mpmath.workdps(30 + int(s * math.log10(a)) + 1):
+            oracle = mpmath.zeta(s, a)
+        assert abs(hurwitz_zeta(s, a) - oracle) <= 8 * math.ulp(float(oracle)), (s, a)
+
+
+def test_hurwitz_zeta_underflow_is_zero():
+    # every term underflows; the C stopping tests see 0/0 there and never fire
+    assert hurwitz_zeta(400.0, (1 << 21) + 1) == 0.0
+    # the tail bound of a steep power law evaluates zeta(600, 4097) = 0.0
+    assert power_law(60.0).family.phi_tail(1 << 12, 0.0, 0j)[1] == 0.0
+
+
+def test_tail_probe_bound_equals_full_tail_bound():
+    for cfg in (power_law(2.0), power_law(1.3), finite_list([(1.0, 2j), (-2.0, 0j)])):
+        fam = cfg.family
+        for n in (1, 2, 64, 1024):
+            for t, z in [(0.0, 0j), ([-3.5, -2.5], [0j, 0j]), ([40.0, -9.0], [0.3j, 1.0])]:
+                assert fam.phi_tail_bound(n, t, z) == fam.phi_tail(n, t, z)[1]
 
 
 def test_delta_set_examples():

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ainfty.config import finite_list, power_law
 from ainfty import potential
-from ainfty.errors import (InsufficientRange, RayHitsCenter, SegmentHitsCenter,
-                           SingularPoint, TailUnresolved)
+from ainfty.errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
+                           SegmentHitsCenter, SingularPoint, TailUnresolved)
 from ainfty.geometry import ImHPoint
 from ainfty.potential import (
     CertifiedValue, _phi_batch, flow_log_g, flow_log_g_sum, growth_exponent,
@@ -67,6 +67,14 @@ def test_unreachable_eps_raises_before_growing(monkeypatch):
         phi(pl, ImHPoint(-0.999, 0j), 1e-12)
     with pytest.raises(TailUnresolved, match="at 1.55e-11"):
         flow_log_g_sum(pl, 3e4, -3e4, 0.5j, eps=1e-12)
+    with pytest.raises(TailUnresolved, match="rounding alone bounds the error at 1.42e-14"):
+        flow_log_g(pl, 0j, -0.5, 0.5, eps=1e-14)
+    # just above that, the quadrature runs and either meets eps or raises
+    for eps in (2e-14, 4e-14, 8e-14):
+        try:
+            assert flow_log_g(pl, 0j, -0.5, 0.5, eps=eps).error_bound <= eps
+        except TailUnresolved as exc:
+            assert "with rounding the bound is" in str(exc)
     assert phi(pl, ImHPoint(-0.999, 0j), 1e-11).error_bound <= 1e-11
 
 
@@ -178,6 +186,95 @@ def test_flow_single_center_closed_form():
     assert abs(oracle - math.log(1 + math.sqrt(2)) / 4) < 1e-15
 
 
+OFF_AXIS_FLOW = finite_list(OFF_AXIS)
+
+
+def _flow_oracle(centers, z, a, b, beta=None):
+    """(1/4) the integral from a to b of sum_k 1/sqrt((t + lr_k)^2 +
+    |z + lc_k|^2) over the explicit centers, by mpmath.quad at 30 digits
+    with a break at each center's height inside the segment.  With beta,
+    the power-law centers n^beta past the list add their exact integrals
+    (asinh differences, logarithms on the axis), summed by mpmath.nsum."""
+    lo, hi = min(a, b), max(a, b)
+    with mpmath.workdps(30):
+        terms = [(mpmath.mpf(lr), abs(mpmath.mpc(z) + mpmath.mpc(lc))) for lr, lc in centers]
+        breaks = sorted({mpmath.mpf(lo), mpmath.mpf(hi)}
+                        | {-lr for lr, _ in terms if lo < -lr < hi})
+        total = mpmath.quad(
+            lambda t: mpmath.fsum(1 / mpmath.sqrt((t + lr) ** 2 + c * c) for lr, c in terms),
+            breaks)
+        if beta is not None:
+            c = abs(mpmath.mpc(z))
+            if c:
+                def exact(n):
+                    return mpmath.asinh((hi + n ** beta) / c) - mpmath.asinh((lo + n ** beta) / c)
+            else:
+                def exact(n):
+                    return mpmath.log((hi + n ** beta) / (lo + n ** beta))
+            total += mpmath.nsum(exact, [len(centers) + 1, mpmath.inf])
+        return float(total / 4) * (1.0 if b >= a else -1.0)
+
+
+# (configuration, z, from_t, to_t): segments that pass 1e-3 to 1e-1 from a
+# center, on the axis (ending that close to one) and off it (passing one at
+# that height), in both orientations
+FLOW_ORACLE_SEGMENTS = [
+    ("pl", 0j, -4 + 1e-3, -1 - 1e-1),
+    ("pl", 0j, -1 + 1e-3, 5.0),
+    ("pl", 0j, -4 - 1e-2, -9 + 1e-2),
+    ("pl", 1e-3j, -20.0, 3.0),
+    ("pl", 0.006 + 0.008j, -10.5, -0.2),
+    ("pl", 0.1 + 0j, 20.0, -30.0),
+    ("fin", -(1 + 1j) + 1e-3, -3.0, 2.0),
+    ("fin", 0j, -2 + 1e-2, 4.0),
+    ("fin", 0.5 - 0.1j, 3.0, -1.0),
+]
+
+
+@pytest.mark.parametrize("which,z,a,b", FLOW_ORACLE_SEGMENTS)
+def test_flow_bound_holds_against_mpmath(which, z, a, b):
+    if which == "pl":
+        cfg = power_law(2.0)
+        # explicit centers past the segment's heights; the rest in closed form
+        m = int(math.sqrt(max(abs(a), abs(b)))) + 2
+        oracle = _flow_oracle([(float(n) ** 2, 0j) for n in range(1, m)], z, a, b, beta=2.0)
+    else:
+        cfg = OFF_AXIS_FLOW
+        oracle = _flow_oracle(OFF_AXIS, z, a, b)
+    for eps in (1e-6, 1e-9, 1e-11):
+        try:
+            v = flow_log_g(cfg, z, a, b, eps)
+        except TailUnresolved:
+            # rounding at nodes near a center far from height 0 can put 1e-11
+            # out of reach (at -16 over z = 1e-3 i it bounds the error at 1.5e-11)
+            assert eps == 1e-11
+            continue
+        assert v.error_bound <= eps
+        assert abs(v.value - oracle) <= v.error_bound, (eps, v, oracle)
+
+
+def test_flow_bound_covers_node_rounding():
+    # A node at height t is only placed to within about |t| 1e-16; next to
+    # a center at distance c that moves the integrand by a relative |t|
+    # 1e-16 / c, which the bound must carry, or eps must be refused.
+    met = refused = 0
+    for height in (0.0, 1.0, 100.0, 1e4):
+        cfg = finite_list([(height, 0j)])
+        for c in (1e-3, 1e-6, 1e-9):
+            a, b = -height - 0.5, -height + 0.5
+            with mpmath.workdps(30):
+                oracle = float((mpmath.asinh((mpmath.mpf(b) + height) / c)
+                                - mpmath.asinh((mpmath.mpf(a) + height) / c)) / 4)
+            try:
+                v = flow_log_g(cfg, complex(0.0, c), a, b, 1e-10)
+            except TailUnresolved:
+                refused += 1
+                continue
+            met += 1
+            assert abs(v.value - oracle) <= v.error_bound, (height, c, v, oracle)
+    assert met >= 4 and refused >= 4
+
+
 def test_flow_additivity():
     a = flow_log_g(PL2, 0j, -0.5, 0.0, eps=1e-10).value
     b = flow_log_g(PL2, 0j, 0.0, 0.5, eps=1e-10).value
@@ -252,6 +349,31 @@ def test_radial_distance_monotone():
     d1 = radial_distance(PL2, (0.0, 1.0, 0.0), 10.0)
     d2 = radial_distance(PL2, (0.0, 1.0, 0.0), 100.0)
     assert 0 < d1 < d2
+
+
+def test_gauss_legendre_rule_accuracy():
+    # flow_log_g's rounding term assumes nodes within 2^-53 (it allows four
+    # times that) and weights within _GL_WEIGHT_ERR, relative
+    n = potential._GL_N
+    with mpmath.workdps(40):
+        for xi, wi in zip(*(v.tolist() for v in potential._GL)):
+            root = mpmath.findroot(lambda t: mpmath.legendre(n, t), xi)
+            slope = mpmath.diff(lambda t: mpmath.legendre(n, t), root)
+            exact = 2 / ((1 - root * root) * slope * slope)
+            assert abs(root - xi) <= 2.0 ** -53
+            assert abs(wi - exact) <= potential._GL_WEIGHT_ERR * exact
+
+
+def test_quad_raises_when_panels_cannot_agree():
+    # radial_distance's acceptance rule, on an oscillation that more than
+    # _MAX_PANELS panels would be needed to resolve
+    def panel_error(func, lo, hi):
+        q, q2 = potential._gauss(func, lo, hi, potential._GL, potential._GL2)
+        err = np.abs(q - q2)
+        return err, np.zeros_like(err), err <= 1e-9 * np.abs(q2)
+    assert potential.quad(np.cos, 0.0, 2.0, panel_error)[0] == pytest.approx(math.sin(2.0))
+    with pytest.raises(QuadratureUnresolved):
+        potential.quad(lambda x: np.cos(1e6 * x), 0.0, 1.0, panel_error)
 
 
 def test_radial_distance_ray_hits_center():
