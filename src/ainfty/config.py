@@ -113,6 +113,12 @@ def _zeta_memo(fn, s: float, a: int) -> float:
 
 
 _TAIL_ORDER = 8
+# The terms of _powerlaw_tail_series, (2t)^j q^i zeta(m beta, N + 1) times
+# binom(-1/2, k) binom(k, i), in summation order: the coefficients, j, i
+# and the index m - 1 of the zeta value
+_TAIL_COEFF, _TAIL_POW_2T, _TAIL_POW_Q, _TAIL_ZETA = (np.array(v) for v in zip(*(
+    (_binom_half(k) * math.comb(k, i), k - i, i, k + i)
+    for k in range(_TAIL_ORDER + 1) for i in range(k + 1))))
 
 
 def _powerlaw_tail_bound(beta: float, n_centers: int, t, q) -> float:
@@ -142,16 +148,21 @@ def _powerlaw_tail_series(beta: float, n_centers: int, t, q):
     err = _powerlaw_tail_bound(beta, n_centers, t, q)
     if err == math.inf:
         return None, math.inf
-    zv = {m: _zeta_value(m * beta, n_centers + 1) for m in range(1, 2 * order + 2)}
-    pow_2t = [(2.0 * t) ** j for j in range(order + 1)]
-    pow_q = [q ** i for i in range(order + 1)]
-    est = np.zeros_like(t)
-    for k in range(order + 1):
-        bk = _binom_half(k)
-        for i in range(k + 1):
-            coeff = bk * math.comb(k, i)
-            est += coeff * pow_2t[k - i] * pow_q[i] * zv[k + i + 1]
-    return est, err
+    zv = np.array([_zeta_value(m * beta, n_centers + 1) for m in range(1, 2 * order + 2)])
+    tv, qv = t.reshape(-1), q.reshape(-1)
+    est = np.empty(tv.shape)
+    for a in range(0, tv.size, 4096):
+        b = min(a + 4096, tv.size)
+        t2 = 2.0 * tv[a:b]
+        pow_2t = np.stack([t2 ** j for j in range(order + 1)])
+        pow_q = np.stack([qv[a:b] ** i for i in range(order + 1)])
+        # every term at once, with the scalar factors in the same order
+        # as term by term; accumulate then adds them in sequence
+        terms = _TAIL_COEFF[:, None] * pow_2t[_TAIL_POW_2T]
+        terms *= pow_q[_TAIL_POW_Q]
+        terms *= zv[_TAIL_ZETA, None]
+        est[a:b] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return est.reshape(t.shape), err
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,10 @@ def _bernstein_bound(lr, c2, lo, hi):
     every branch point.
 
     For an integrand analytic in the Bernstein ellipse E_rho of the panel
-    and bounded there by M, the error is at most
+    and bounded there by M, the error of the (n + 1)-node rule is at most
     h 64 M / (15 (rho^2 - 1) rho^2n), h the half-length (Trefethen,
-    Approximation Theory and Approximation Practice, Thm 19.3).  Term k is
+    Approximation Theory and Approximation Practice, Thm 19.3); here
+    n = _GL_N - 1, as that rule is exact up to degree 2n + 1.  Term k is
     analytic off its branch points p = -lr_k +- i sqrt(c2_k), which lie on
     the confocal ellipse of semi-major axis h a_k, a_k h = (|p - lo| +
     |p - hi|)/2.  Confocal ellipses are at least the difference of their
@@ -220,14 +221,17 @@ def _bernstein_bound(lr, c2, lo, hi):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             m = np.sum(np.reciprocal(a_k, out=a_k), axis=1)
             rho = a + np.sqrt(a * a - 1.0)
-            out[i:j] = 64.0 * m / (15.0 * (rho * rho - 1.0) * rho ** (2 * _GL_N))
+            out[i:j] = 64.0 * m / (15.0 * (rho * rho - 1.0) * rho ** (2 * _GL_N - 2))
     # the factor covers the rounding of this evaluation, relative N eps at most
     return out * (1.0 + 1e-9), dist
 
 
 def _gauss(func, lo, hi, *rules):
     """Per-panel sums of each Gauss-Legendre rule over the panels
-    [lo_i, hi_i], from one call of func on all their nodes."""
+    [lo_i, hi_i], from one call of func on all their nodes (none when there
+    are no panels)."""
+    if not lo.size:
+        return [lo] * len(rules)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = [mid[:, None] + half[:, None] * x for x, _ in rules]
     f = func(np.concatenate([v.ravel() for v in nodes]))
@@ -238,38 +242,32 @@ def _gauss(func, lo, hi, *rules):
     return sums
 
 
-def quad(func, a: float, b: float, panel_error):
+def quad(func, a: float, b: float, panels):
     """(value, bound): the integral of func from a to b (negative for
-    b < a) on panels of the _GL_N-node Gauss-Legendre rule.
+    b < a) on Gauss-Legendre panels.
 
     func maps an array of nodes to an array of values.  Starting from the
     one panel between a and b, each refinement level passes its pending
-    panels, as arrays lo < hi, to ``panel_error(func, lo, hi)``, which
-    returns for each panel an absolute error term, a relative one (a
-    multiple of the panel's sum, for errors that scale with it) and whether
-    the panel is accepted; rejected panels are halved.  Then func is called
-    once, on the nodes of every accepted panel, and the bound is the sum of
-    their error terms.  Raises QuadratureUnresolved when a rejected panel
-    cannot be halved or more than _MAX_PANELS are pending.
+    panels, as arrays lo < hi, to ``panels(func, lo, hi)``, which returns
+    a mask of the panels it accepts and, for those, their sums and error
+    terms; the rejected ones are halved.  The value and the bound add up
+    the accepted panels.  Raises QuadratureUnresolved when a rejected
+    panel cannot be halved or more than _MAX_PANELS are pending.
     """
     lo, hi = np.array([min(a, b)], dtype=float), np.array([max(a, b)], dtype=float)
-    done_lo, done_hi, done_rel, bound = [], [], [], 0.0
+    sums, errs = [], []
     while lo.size:
-        err, rel, ok = panel_error(func, lo, hi)
-        bound += float(np.sum(err[ok]))
-        done_lo.append(lo[ok])
-        done_hi.append(hi[ok])
-        done_rel.append(rel[ok])
+        ok, s, e = panels(func, lo, hi)
+        sums.append(s)
+        errs.append(e)
         lo, hi = lo[~ok], hi[~ok]
         mid = 0.5 * (lo + hi)
         if lo.size > _MAX_PANELS or np.any((mid <= lo) | (mid >= hi)):
             raise QuadratureUnresolved(
                 f"quadrature panels between {a!r} and {b!r} cannot meet the tolerance")
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    (sums,) = _gauss(func, np.concatenate(done_lo), np.concatenate(done_hi), _GL)
-    value = float(np.sum(sums))
-    bound += float(np.sum(np.concatenate(done_rel) * np.abs(sums)))
-    return (value if b >= a else -value), bound
+    value = float(np.sum(np.concatenate(sums)))
+    return (value if b >= a else -value), float(np.sum(np.concatenate(errs)))
 
 
 def flow_log_g(config: Configuration, z, from_t: float, to_t: float,
@@ -299,13 +297,16 @@ def flow_log_g(config: Configuration, z, from_t: float, to_t: float,
     centers = config.family.center_arrays(n)
     lr, c2 = centers[0], np.abs(z + centers[1]) ** 2
 
-    def panel_error(func, lo, hi):
+    def panels(func, lo, hi):
         err, dist = _bernstein_bound(lr, c2, lo, hi)
         err /= 4.0
+        ok = err <= eps / 2.0 * (hi - lo) / length
+        lo, hi, err, dist = lo[ok], hi[ok], err[ok], dist[ok]
+        (sums,) = _gauss(func, lo, hi, _GL)
         shift = 2.0 ** -51 * (np.maximum(np.abs(lo), np.abs(hi)) + (hi - lo))
         with np.errstate(divide="ignore"):
             rel = shift / np.maximum(dist - 3.0 * shift, 0.0) + _GL_WEIGHT_ERR
-        return err, rel, err <= eps / 2.0 * (hi - lo) / length
+        return ok, sums, err + rel * np.abs(sums)
 
     def integrand(t):
         # the endpoints ride along: a coarse tail estimate, taken at the
@@ -314,7 +315,7 @@ def flow_log_g(config: Configuration, z, from_t: float, to_t: float,
         total, _ = _potential_sum(config, n, t, np.full(t.shape, z), centers)
         return total[:-2] / 4.0
 
-    val, quad_err = quad(integrand, from_t, to_t, panel_error)
+    val, quad_err = quad(integrand, from_t, to_t, panels)
     bound = quad_err + length * tail_err + _rounding_slop(abs(val))
     if not bound <= eps:
         raise TailUnresolved(
@@ -406,12 +407,13 @@ def radial_distance(config: Configuration, direction, R: float,
         total, _ = _potential_sum(config, n, s * d[0], s * dz, centers)
         return 2.0 * sigma * np.sqrt(np.maximum(total / 4.0, 0.0))
 
-    def panel_error(func, lo, hi):
+    def panels(func, lo, hi):
         q, q2 = _gauss(func, lo, hi, _GL, _GL2)
         err = np.abs(q - q2)
-        return err, np.zeros_like(err), err <= rel_tol * np.abs(q2)
+        ok = err <= rel_tol * np.abs(q2)
+        return ok, q2[ok], err[ok]
 
-    val, _ = quad(integrand, 0.0, math.sqrt(R), panel_error)
+    val, _ = quad(integrand, 0.0, math.sqrt(R), panels)
     return val
 
 

@@ -351,29 +351,63 @@ def test_radial_distance_monotone():
     assert 0 < d1 < d2
 
 
+def _mp_gauss_rule(n):
+    """The n-node Gauss-Legendre rule at the working precision: the roots
+    of P_n next to numpy's nodes, and their weights."""
+    rule = []
+    for xi in np.polynomial.legendre.leggauss(n)[0].tolist():
+        root = mpmath.findroot(lambda t: mpmath.legendre(n, t), xi)
+        slope = mpmath.diff(lambda t: mpmath.legendre(n, t), root)
+        rule.append((root, 2 / ((1 - root * root) * slope * slope)))
+    return rule
+
+
 def test_gauss_legendre_rule_accuracy():
     # flow_log_g's rounding term assumes nodes within 2^-53 (it allows four
     # times that) and weights within _GL_WEIGHT_ERR, relative
-    n = potential._GL_N
     with mpmath.workdps(40):
-        for xi, wi in zip(*(v.tolist() for v in potential._GL)):
-            root = mpmath.findroot(lambda t: mpmath.legendre(n, t), xi)
-            slope = mpmath.diff(lambda t: mpmath.legendre(n, t), root)
-            exact = 2 / ((1 - root * root) * slope * slope)
-            assert abs(root - xi) <= 2.0 ** -53
-            assert abs(wi - exact) <= potential._GL_WEIGHT_ERR * exact
+        exact = _mp_gauss_rule(potential._GL_N)
+    for (xi, wi), (root, weight) in zip(zip(*(v.tolist() for v in potential._GL)), exact):
+        assert abs(root - xi) <= 2.0 ** -53
+        assert abs(wi - weight) <= potential._GL_WEIGHT_ERR * weight
+
+
+def test_panel_bound_covers_gauss_error():
+    # The Bernstein-ellipse bound of one panel [-1, 1] against the true
+    # error of the _GL_N-node rule (at 80 digits) on 1/|t - x0|, a branch
+    # point on the axis past the panel's end, and on 1/sqrt(t^2 + c^2), a
+    # conjugate pair over its middle.  The bound is 118 to 2.2e4 times the
+    # error here; with rho^(2 _GL_N) in place of rho^(2 (_GL_N - 1)) it
+    # would fall below it at x0 = 8 (0.69 times) and x0 = 11 (0.38 times).
+    lo, hi = np.array([-1.0]), np.array([1.0])
+    cases = [(-x0, 0.0) for x0 in (1.01, 1.1, 1.3, 2.0, 8.0, 11.0)]
+    cases += [(0.0, c * c) for c in (0.1, 0.3, 1.0, 1.5)]
+    with mpmath.workdps(80):
+        rule = _mp_gauss_rule(potential._GL_N)
+        for lr, c2 in cases:
+            lr_, c2_ = mpmath.mpf(lr), mpmath.mpf(c2)
+            gauss = mpmath.fsum(w / mpmath.sqrt((x + lr_) ** 2 + c2_) for x, w in rule)
+            if c2:
+                exact = 2 * mpmath.asinh(1 / mpmath.sqrt(c2_))
+            else:
+                exact = mpmath.log((-lr_ + 1) / (-lr_ - 1))
+            err = float(abs(gauss - exact))
+            bound, _ = potential._bernstein_bound(np.array([lr]), np.array([c2]), lo, hi)
+            assert err <= bound[0], (lr, c2, err, bound[0])
 
 
 def test_quad_raises_when_panels_cannot_agree():
     # radial_distance's acceptance rule, on an oscillation that more than
     # _MAX_PANELS panels would be needed to resolve
-    def panel_error(func, lo, hi):
+    def panels(func, lo, hi):
         q, q2 = potential._gauss(func, lo, hi, potential._GL, potential._GL2)
         err = np.abs(q - q2)
-        return err, np.zeros_like(err), err <= 1e-9 * np.abs(q2)
-    assert potential.quad(np.cos, 0.0, 2.0, panel_error)[0] == pytest.approx(math.sin(2.0))
+        ok = err <= 1e-9 * np.abs(q2)
+        return ok, q2[ok], err[ok]
+    assert potential.quad(np.cos, 0.0, 2.0, panels)[0] == pytest.approx(math.sin(2.0))
+    assert potential.quad(np.cos, 2.0, 0.0, panels)[0] == pytest.approx(-math.sin(2.0))
     with pytest.raises(QuadratureUnresolved):
-        potential.quad(lambda x: np.cos(1e6 * x), 0.0, 1.0, panel_error)
+        potential.quad(lambda x: np.cos(1e6 * x), 0.0, 1.0, panels)
 
 
 def test_radial_distance_ray_hits_center():
