@@ -154,8 +154,8 @@ def _powerlaw_tail_series(beta: float, n_centers: int, t, q):
     for a in range(0, tv.size, 4096):
         b = min(a + 4096, tv.size)
         t2 = 2.0 * tv[a:b]
-        pow_2t = np.stack([t2 ** j for j in range(order + 1)])
-        pow_q = np.stack([qv[a:b] ** i for i in range(order + 1)])
+        pow_2t = np.array([t2 ** j for j in range(order + 1)])
+        pow_q = np.array([qv[a:b] ** i for i in range(order + 1)])
         # every term at once, with the scalar factors in the same order
         # as term by term; accumulate then adds them in sequence
         terms = _TAIL_COEFF[:, None] * pow_2t[_TAIL_POW_2T]

@@ -256,10 +256,12 @@ def quad(func, a: float, b: float, panels):
     """
     lo, hi = np.array([min(a, b)], dtype=float), np.array([max(a, b)], dtype=float)
     sums, errs = [], []
-    while lo.size:
+    while True:
         ok, s, e = panels(func, lo, hi)
         sums.append(s)
         errs.append(e)
+        if ok.all():
+            break
         lo, hi = lo[~ok], hi[~ok]
         mid = 0.5 * (lo + hi)
         if lo.size > _MAX_PANELS or np.any((mid <= lo) | (mid >= hi)):

@@ -4,9 +4,11 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfty import config
 from ainfty.config import (
     Finite, OMEGA_DOWN, check_representative, config_digest, config_from_dict,
     config_to_dict, delta_set, fiber, finite_list, general_axial, hurwitz_zeta,
@@ -107,6 +109,30 @@ def test_tail_probe_bound_equals_full_tail_bound():
         for n in (1, 2, 64, 1024):
             for t, z in [(0.0, 0j), ([-3.5, -2.5], [0j, 0j]), ([40.0, -9.0], [0.3j, 1.0])]:
                 assert fam.phi_tail_bound(n, t, z) == fam.phi_tail(n, t, z)[1]
+
+
+def _tail_series_term_by_term(beta, n, t, q):
+    # the reference: one numpy operation per term, added in order
+    zv = {m: config._zeta_value(m * beta, n + 1) for m in range(1, 2 * config._TAIL_ORDER + 2)}
+    est = np.zeros_like(t)
+    for k in range(config._TAIL_ORDER + 1):
+        for i in range(k + 1):
+            coeff = config._binom_half(k) * math.comb(k, i)
+            est += coeff * (2.0 * t) ** (k - i) * q ** i * zv[k + i + 1]
+    return est
+
+
+def test_powerlaw_tail_series_matches_term_by_term():
+    # the vectorized series does the same operations in the same order,
+    # across its chunks of points too, so the estimates are equal
+    rng = np.random.default_rng(5)
+    for beta, n, size in [(2.0, 1024, 26), (1.3, 64, 1), (3.0, 7, 4097), (2.5, 4096, 9000)]:
+        s0 = float(n + 1) ** beta
+        t = rng.uniform(-0.2, 0.2, size) * s0
+        q = t * t + (rng.uniform(0.0, 0.2, size) * s0) ** 2
+        est, err = config._powerlaw_tail_series(beta, n, t, q)
+        assert err < math.inf
+        assert np.array_equal(est, _tail_series_term_by_term(beta, n, t, q))
 
 
 def test_delta_set_examples():
