@@ -367,9 +367,9 @@ def test_gauss_legendre_rule_accuracy():
     # times that) and weights within _GL_WEIGHT_ERR, relative
     with mpmath.workdps(40):
         exact = _mp_gauss_rule(potential._GL_N)
-    for (xi, wi), (root, weight) in zip(zip(*(v.tolist() for v in potential._GL)), exact):
-        assert abs(root - xi) <= 2.0 ** -53
-        assert abs(wi - weight) <= potential._GL_WEIGHT_ERR * weight
+        for (xi, wi), (root, weight) in zip(zip(*(v.tolist() for v in potential._GL)), exact):
+            assert abs(root - xi) <= 2.0 ** -53
+            assert abs(wi - weight) <= potential._GL_WEIGHT_ERR * weight
 
 
 def test_panel_bound_covers_gauss_error():
