@@ -5,10 +5,9 @@ the volume-growth experiment."""
 
 from .config import (
     Configuration, Fiber, Finite, OMEGA_BOTH, OMEGA_DOWN, OMEGA_UP, OrderType,
-    StabilityReport, TruncatedRepresentative, ValidityReport, axial_monotone,
-    check_representative, config_digest, config_from_dict, config_to_dict,
-    delta_set, fiber, finite_list, general_axial, power_law,
-    representative_from_moment, validate,
+    ValidityReport, axial_monotone, config_digest, config_from_dict,
+    config_to_dict, delta_set, fiber, finite_list, general_axial, power_law,
+    validate,
 )
 from .charts import (
     ManifoldPoint, Multiplier, act, base_coordinate, canonical_multiplier,

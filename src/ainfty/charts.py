@@ -12,6 +12,11 @@ extended across the deviated fibers by cancelling the exact factor
 ((q - z0)/2)^(-k0) against the multiplier's zero or pole and regrouping the
 affected fiber terms in raw (unnormalized) form.
 
+Heights come back by Newton on the gap's log-modulus profile
+(``_solve_monotone``).  For the power law the profile's log-product tail,
+a Hurwitz zeta series of order 9, meets its tolerance at the enumerated
+truncation near the origin, so each call builds its profile once.
+
 Gauge: the fiber phase theta of a ManifoldPoint is the argument of the base
 coordinate on base-section gaps and of the regrouped product on deviated
 gaps.  This pins the S^1 phase ambiguity; any other admissible convention
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Configuration
+from .config import Configuration, moduli_pair
 from .errors import (NotChartAdmissible, OutsideOverlap, RootBracketFailure,
                      SectionMismatch, SingularPoint, WrongDivisor)
 from .geometry import ImHPoint
@@ -34,6 +39,8 @@ from .quotient import (CombinatorialSection, IntegerDivisor, QuotientClass,
                        base_gap, base_section, class_of, count_between)
 
 _TWO_PI = 2.0 * math.pi
+_NEWTON_STEPS = 60
+_WALK = 400             # steps of the fallback's search for a bracket
 
 
 # ---------------------------------------------------------------------------
@@ -143,45 +150,53 @@ class _LogProfile:
     grouping matches the base grouping (sign of lambda_r), raw unnormalized
     terms on the between set; the t-derivative of every term is 1/|zeta +
     lambda_n|, so the derivative of the profile is the unscaled potential
-    sum (4x the quarter-normalized potential).
+    sum (4x the quarter-normalized potential).  Given a section, the other
+    deviated fibers z are regrouped too: there a raw term is the normalized
+    one less log(c^2/4), c = |z0 - z|, and ``factor`` folds (c/2)^-k, k the
+    signed count of that between set, into the chart constant, so no
+    log c^2 cancels near a deviated fiber.
     """
 
     def __init__(self, config: Configuration, z0: complex, gap: QuotientClass,
-                 eps: float = 1e-10):
+                 eps: float = 1e-10, section: CombinatorialSection = None):
         if gap.is_fixed:
             raise SingularPoint("fixed classes carry no chart data")
         self.config = config
         self.z0 = complex(z0)
-        self.gap = gap
         self.eps = eps
         self.lo, self.hi = gap.bounds(config)
         self._t_int = gap.interior_height(config)
+        others = () if section is None else section.deviations
+        self._fibers = [(self.z0, self._t_int)] + [
+            (z, g.interior_height(config)) for z, g in others if z != self.z0]
         needed = max((i for i in (gap.lower, gap.upper) if i is not None), default=0)
         self._setup(max(config.n_enumerated, config.family.clamp(2 * needed + 2)))
 
     def _setup(self, n):
-        config, z0 = self.config, self.z0
-        fam = config.family
+        fam = self.config.family
         n = fam.clamp(n)
         self.n = n
         lr, lc = fam.center_arrays(n)
-        self.lr, self.lc = lr, lc
-        self.c = np.abs(z0 + lc)
-        self.norm = np.hypot(lr, np.abs(lc))
-        self.za2 = self.norm + lr            # 2|alpha_n|^2
-        self.wb2 = self.norm - lr            # 2|beta_n|^2
-        same = (-lc == z0)
-        d_int = self._t_int + lr
-        below = np.where(same, d_int > 0, lr > 0)
-        self.between_low = same & (d_int < 0) & (lr > 0)    # gap below the base gap
-        self.between_high = same & (d_int > 0) & (lr < 0)   # gap above the base gap
-        between = self.between_low | self.between_high
-        self.cat_z = below & ~between
-        self.cat_w = ~below & ~between
         if np.any(lr == 0):
             raise NotChartAdmissible("a center with zero real part is enumerated")
-        self.k0 = int(np.count_nonzero(self.between_high)) \
-            - int(np.count_nonzero(self.between_low))
+        self.lr, self.lc = lr, lc
+        norm = np.hypot(lr, np.abs(lc))
+        self.a2 = (norm + lr) / 2.0          # |alpha_n|^2
+        self.b2 = (norm - lr) / 2.0          # |beta_n|^2
+        self.between_low = np.zeros(lr.shape, dtype=bool)    # gap below the base gap
+        self.between_high = np.zeros(lr.shape, dtype=bool)   # gap above the base gap
+        self.factor = 1.0
+        for z, t_int in self._fibers:
+            on = -lc == z
+            low = on & (t_int + lr < 0) & (lr > 0)
+            high = on & (t_int + lr > 0) & (lr < 0)
+            self.between_low |= low
+            self.between_high |= high
+            k = int(np.count_nonzero(high)) - int(np.count_nonzero(low))
+            self.factor *= (2.0 if z == self.z0 else 2.0 / abs(self.z0 - z)) ** k
+        between = self.between_low | self.between_high
+        self.cat_z = (lr > 0) & ~between
+        self.cat_w = (lr < 0) & ~between
 
     def _log_tail(self, n: int, t: float):
         """The log-product tail estimate at height t with N = n, or None
@@ -194,16 +209,12 @@ class _LogProfile:
     def value(self, t: float) -> float:
         """log|f|^2 at height t inside the gap."""
         est = _refine(self.config, lambda n: self._log_tail(n, t), self.n)
-        d = t + self.lr
-        s = np.hypot(d, self.c)
-        # spd = 2|z_n|^2 and smd = 2|w_n|^2, each via its cancellation-free form
+        zsq, wsq = moduli_pair(self.lr, self.lc, ImHPoint(t, self.z0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            spd = np.where(d >= 0, s + d, self.c ** 2 / (s - d))
-            smd = np.where(d <= 0, s - d, self.c ** 2 / (s + d))
-            term_z = np.log(spd / self.za2)
-            term_w = -np.log(smd / self.wb2)
-            term_bl = -np.log(self.za2 * smd / 4.0)
-            term_bh = np.log(self.wb2 * spd / 4.0)
+            term_z = np.log(zsq / self.a2)
+            term_w = -np.log(wsq / self.b2)
+            term_bl = -np.log(self.a2 * wsq)
+            term_bh = np.log(self.b2 * zsq)
         total = float(
             np.sum(term_z, where=self.cat_z)
             + np.sum(term_w, where=self.cat_w)
@@ -217,76 +228,99 @@ class _LogProfile:
                                     (self.lr, self.lc))[0])
 
 
-def _solve_monotone(profile: _LogProfile, target: float) -> float:
-    """Root of profile.value(t) = target inside the gap: bracket the ends
-    (the profile diverges to -inf/+inf there), bisect, then safeguarded
-    Newton with the potential sum as the exact derivative."""
-    lo, hi = profile.lo, profile.hi
-    t0 = profile._t_int
+def _solve_monotone(profile: _LogProfile, target: float, t=None, v=None) -> float:
+    """Root of profile.value(t) = target in the gap (lo, hi) by safeguarded
+    Newton from t (default the interior height; v its value, if known).
 
-    def _find(side_sign):
-        # walk toward the gap end until the profile passes the target
-        if side_sign < 0:
-            end, start = lo, t0
+    The profile is strictly increasing, tends to -+inf at finite gap ends
+    and has the exact derivative profile.deriv.  From the second step the
+    cubic matching the last two values and slopes refines a Newton step
+    that it moves by less than the step.  A step leaving the bracket (a, b)
+    becomes the Newton step in log|t - e| toward an untouched gap end e,
+    else bisection.  As |f''| <= f'^2 (so for each term), at |f| <= 1/4
+    the step lands within 4.5 |f step| of the root, which ends the loop at
+    1e-14 (1 + |t|); f = profile - target.  ``_bisect_root`` is the fallback."""
+    a, b = lo, hi = profile.lo, profile.hi
+    t = profile._t_int if t is None else t
+    last = None
+    for _ in range(_NEWTON_STEPS):
+        f = (profile.value(t) if v is None else v) - target
+        v = None
+        if f == 0:
+            return t
+        if not math.isfinite(f):
+            break
+        if f < 0:
+            a = t
         else:
-            end, start = hi, t0
-        if math.isfinite(end):
-            delta = abs(end - start) / 4.0
-            for _ in range(400):
-                t = end + side_sign * (-delta)
-                v = profile.value(t)
-                if side_sign * (v - target) > 0:
-                    return t
-                delta /= 4.0
-        else:
-            step = 1.0
-            t = start
-            for _ in range(400):
-                t = t + side_sign * step
-                v = profile.value(t)
-                if side_sign * (v - target) > 0:
-                    return t
-                step *= 2.0
+            b = t
+        slope = profile.deriv(t)
+        if not slope > 0:
+            break
+        step = f / slope
+        t_new = t - step
+        if abs(f) <= 0.25 and 4.5 * abs(f * step) <= 1e-14 * (1.0 + abs(t)):
+            return t_new
+        if last is not None and last[1] != f:
+            t_h = _hermite_root(*last, t, f, slope)
+            if a < t_h < b and abs(t_h - t_new) <= abs(step):
+                t_new = t_h
+        last = (t, f, slope)
+        if not a < t_new < b:
+            side, end = (a, lo) if t_new <= a else (b, hi)
+            if side == end and math.isfinite(end):
+                t_new = end + (t - end) * math.exp(-step / (t - end))
+            if not a < t_new < b:
+                t_new = 0.5 * (a + b)
+        if not abs(t_new - profile._t_int) < 2.0 ** _WALK:
+            break       # beyond the fallback's reach: it raises
+        t = t_new
+    return _bisect_root(profile, target)
+
+
+def _hermite_root(t0, f0, d0, t1, f1, d1):
+    """t at f = 0 on the cubic t(f) through (f0, t0), (f1, t1) with slopes
+    1/d0, 1/d1."""
+    h = f1 - f0
+    x, y = -f0 / h, 1.0 + f0 / h
+    return (y * y * ((1.0 + 2.0 * x) * t0 + x * h / d0)
+            + x * x * ((3.0 - 2.0 * x) * t1 - y * h / d1))
+
+
+def _bisect_root(profile: _LogProfile, target: float) -> float:
+    """Walk from the interior height toward each gap end until the profile
+    passes the target, then bisect."""
+    lo, hi, t0 = profile.lo, profile.hi, profile._t_int
+
+    def _find(side):
+        end = lo if side < 0 else hi
+        finite = math.isfinite(end)
+        step = abs(end - t0) / 4.0 if finite else 1.0
+        for _ in range(_WALK):
+            t = end - side * step if finite else t0 + side * step
+            if side * (profile.value(t) - target) > 0:
+                return t
+            step = step / 4.0 if finite else 2.0 * step
         raise RootBracketFailure(
-            f"no bracket toward {'lower' if side_sign < 0 else 'upper'} end "
+            f"no bracket toward {'lower' if side < 0 else 'upper'} end "
             f"of gap ({lo}, {hi}); target {target}")
 
-    a = _find(-1)
-    b = _find(+1)
-    if a > b:
-        a, b = b, a
-    # bisect to a moderate width, then Newton
-    for _ in range(200):
-        if b - a <= 1e-3 * (1.0 + abs(a) + abs(b)):
-            break
+    a, b = _find(-1), _find(+1)
+    while b - a > 1e-14 * (1.0 + abs(a) + abs(b)):
         m = 0.5 * (a + b)
         if profile.value(m) < target:
             a = m
         else:
             b = m
-    t = 0.5 * (a + b)
-    for _ in range(80):
-        v = profile.value(t)
-        if v < target:
-            a = max(a, t)
-        else:
-            b = min(b, t)
-        step = (v - target) / profile.deriv(t)
-        t_new = t - step
-        if not (a <= t_new <= b):
-            t_new = 0.5 * (a + b)
-        if abs(t_new - t) <= 1e-14 * (1.0 + abs(t)):
-            return t_new
-        t = t_new
-    return t
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
 # Chart maps
 # ---------------------------------------------------------------------------
 
-def _chart_constant(multiplier: Multiplier, z0: complex, k0: int) -> complex:
-    return multiplier.leading_at(z0) * 2.0 ** k0
+def _chart_constant(multiplier: Multiplier, profile: _LogProfile) -> complex:
+    return multiplier.leading_at(profile.z0) * profile.factor
 
 
 def _coordinate(config, section, multiplier, point, eps, check_divisor=True):
@@ -301,8 +335,8 @@ def _coordinate(config, section, multiplier, point, eps, check_divisor=True):
         raise WrongDivisor(
             f"multiplier divisor {multiplier.divisor.entries} does not match "
             f"the section divisor")
-    profile = _LogProfile(config, p.z, cls, eps=2.0 * eps)
-    const = _chart_constant(multiplier, p.z, profile.k0)
+    profile = _LogProfile(config, p.z, cls, eps=2.0 * eps, section=section)
+    const = _chart_constant(multiplier, profile)
     modulus = math.exp(0.5 * profile.value(p.t))
     return const * modulus * cmath.exp(1j * point.theta)
 
@@ -341,8 +375,8 @@ def chart_inverse(config: Configuration, section: CombinatorialSection,
     if multiplier.divisor != section_base_divisor(config, section):
         raise WrongDivisor("multiplier divisor does not match the section")
     gap = section.gap_at(q)
-    profile = _LogProfile(config, q, gap, eps=2.0 * eps)
-    const = _chart_constant(multiplier, q, profile.k0)
+    profile = _LogProfile(config, q, gap, eps=2.0 * eps, section=section)
+    const = _chart_constant(multiplier, profile)
     target = 2.0 * (math.log(abs(p)) - math.log(abs(const)))
     t = _solve_monotone(profile, target)
     theta = (cmath.phase(p) - cmath.phase(const)) % _TWO_PI
@@ -373,6 +407,6 @@ def act(config: Configuration, point: ManifoldPoint, g: complex,
     if cls.is_fixed:
         raise SingularPoint("fixed points are not moved in gauge coordinates")
     profile = _LogProfile(config, p.z, cls, eps=eps)
-    target = profile.value(p.t) + 2.0 * math.log(abs(g))
-    t = _solve_monotone(profile, target)
+    v = profile.value(p.t)
+    t = _solve_monotone(profile, v + 2.0 * math.log(abs(g)), p.t, v)
     return ManifoldPoint(ImHPoint(t, p.z), (point.theta + cmath.phase(g)) % _TWO_PI)

@@ -14,9 +14,10 @@ Tail oracles.  Each family provides two primitives,
   sum_{n>N} 1/(|lambda_n| - r), finite only when min_tail_norm(N) > r,
 
 from which coarse potential / log-product / flow tails derive.  The power
-law family lambda_n = n^beta i overrides these with second-order Hurwitz
-zeta expansions carrying explicit Taylor remainder constants; the coarse
-1/N bounds alone cannot certify tolerances near 1e-10 at sane truncations.
+law family lambda_n = n^beta i overrides these with Hurwitz zeta series of
+order _TAIL_ORDER (potential) and _LOG_ORDER (log product and flow) with
+certified remainders; the coarse 1/N bounds alone cannot certify
+tolerances near 1e-10 at sane truncations.
 
 Combinatorial identity (fiber membership, base-point matching, divisor
 supports) uses exact float equality; tolerances appear only in numerical
@@ -35,12 +36,6 @@ import numpy as np
 
 from .errors import TailUnresolved, UnknownOrderType
 from .geometry import ImHPoint, as_point
-
-# Taylor remainder constants on |u| <= 1/2:
-#   |sqrt(1+u) - 1 - u/2|        <= 0.354 u^2
-#   |(1+u)^(-1/2) - 1 + u/2|     <= 2.125 u^2
-_R_SQRT = 0.354
-_R_INVSQRT = 2.125
 
 
 def _binom_half(k: int) -> float:
@@ -163,6 +158,53 @@ def _powerlaw_tail_series(beta: float, n_centers: int, t, q):
         terms *= zv[_TAIL_ZETA, None]
         est[a:b] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     return est.reshape(t.shape), err
+
+
+_LOG_ORDER = _TAIL_ORDER + 1      # odd: every remainder below has m = order + 1
+# The terms coeff t^j (c^2)^k zeta(m beta, N + 1) of _powerlaw_log_tail as
+# (coeff, j, k, m), m <= order: log(1 + x), then a_k w^k, a_k = -binom(-1/2, k)/(2k)
+_LOG_TERMS = tuple(
+    [((-1.0) ** (m + 1) / m, m, 0, m) for m in range(1, _LOG_ORDER + 1)]
+    + [(-_binom_half(k) / (2 * k) * (-1.0) ** j * math.comb(2 * k + j - 1, j), j, k, 2 * k + j)
+       for k in range(1, _LOG_ORDER // 2 + 1) for j in range(_LOG_ORDER - 2 * k + 1)])
+# |a_k| binom(order, order + 1 - 2k), the remainder factors; k = (order + 1)/2 is w's
+_LOG_REM = tuple((k, abs(_binom_half(k)) / (2 * k) * math.comb(_LOG_ORDER, _LOG_ORDER + 1 - 2 * k))
+                 for k in range(1, (_LOG_ORDER + 1) // 2 + 1))
+
+
+def _powerlaw_log_tail(beta: float, n_centers: int, t: float, c2: float):
+    """(estimate, error bound) for sum_{n>N} log((s + d)/(2S)), S = n^beta,
+    d = t + S, s = sqrt(d^2 + c^2): the log-product tail of the charts.
+
+    Each term is log(1 + x) + log((1 + sqrt(1 + w))/2), x = t/S, w =
+    c^2/(S + t)^2: sum_m (-1)^(m+1) x^m/m plus sum_k a_k w^k (alternating,
+    |a_k| decreasing, 0 <= w <= 1) with (1 + x)^(-2k) expanded binomially;
+    over n, S^-m sums to zeta(m beta, N + 1).  Cut at m = order, with
+    rho = |t|/s0, the first leaves |t|^(order+1) Z/((order+1)(1 - rho)),
+    Z = zeta((order+1) beta), the k-th (Lagrange) binom(order, J) |a_k|
+    c^2k |t|^J Z/(1 - rho)^(order+1), J = order + 1 - 2k, which for J = 0
+    also bounds the dropped w terms.  Rounding adds 128 u (u = 2^-53, zeta's
+    8 ulps included) of the terms' absolute sum and 256 subnormal units.
+    Valid where 2|t| + (t^2 + c^2)/s0 <= s0/2, as the potential series,
+    so rho <= 1/4 and w <= 1; outside it returns (0, inf).
+    """
+    s0 = float(n_centers + 1) ** beta
+    at = abs(t)
+    if 2.0 * at + (t * t + c2) / s0 > 0.5 * s0:
+        return 0.0, math.inf
+    zv = [_zeta_value(m * beta, n_centers + 1) for m in range(1, _LOG_ORDER + 2)]
+    est = mag = 0.0
+    for coeff, j, k, m in _LOG_TERMS:
+        if k and not c2:        # the terms in c^2 come last
+            break
+        term = coeff * t ** j * c2 ** k * zv[m - 1]
+        est += term
+        mag += abs(term)
+    top = _LOG_ORDER + 1
+    rho = at / s0
+    rem = at ** top / (top * (1.0 - rho)) + sum(
+        r * c2 ** k * at ** (top - 2 * k) for k, r in _LOG_REM) / (1.0 - rho) ** top
+    return est, rem * zv[top - 1] + 128.0 * _MACHEP * mag + 256.0 * math.ulp(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +505,6 @@ class PowerLawFamily(_AxialDecreasingFamily):
 
     # --- sharp tails ------------------------------------------------------
 
-    def _zeta(self, m: float, n_centers: int) -> float:
-        return _zeta_value(m * self.beta, n_centers + 1)
-
     def min_tail_norm(self, n_centers):
         return float(n_centers + 1) ** self.beta
 
@@ -491,15 +530,7 @@ class PowerLawFamily(_AxialDecreasingFamily):
         return _powerlaw_tail_bound(self.beta, n_centers, t, t * t + np.abs(z) ** 2)
 
     def log_tail(self, n_centers, t, z):
-        # log((S + t + s)/(2s)) = t/s + O(1/s^2) with certified constant
-        s0 = self.min_tail_norm(n_centers)
-        q = t * t + abs(z) ** 2
-        u1 = 2.0 * abs(t) + q / s0
-        v1 = abs(t) + q / (4.0 * s0) + _R_SQRT * u1 * u1 / (2.0 * s0)
-        if u1 / s0 > 0.5 or v1 / s0 > 0.5:
-            return 0.0, math.inf
-        w1 = q / 4.0 + _R_SQRT * u1 * u1 / 2.0 + v1 * v1
-        return t * self._zeta(1, n_centers), w1 * self._zeta(2, n_centers)
+        return _powerlaw_log_tail(self.beta, n_centers, float(t), abs(z) ** 2)
 
     def flow_tail(self, n_centers, t0, t1, z):
         est0, err0 = self.log_tail(n_centers, t0, z)
@@ -740,7 +771,6 @@ class Configuration:
     family: CenterFamily
     truncation: int
     max_truncation: int
-    moment_rtol: float = 1e-9
 
     def __post_init__(self):
         if self.truncation < 1:
@@ -771,9 +801,9 @@ def power_law(beta: float, truncation: int = 4096,
     return Configuration(PowerLawFamily(beta), truncation, max_truncation)
 
 
-def finite_list(centers, **kw) -> Configuration:
+def finite_list(centers) -> Configuration:
     fam = FiniteListFamily(centers)
-    return Configuration(fam, fam.count, fam.count, **kw)
+    return Configuration(fam, fam.count, fam.count)
 
 
 def axial_monotone(values, growth=None, truncation: int = 4096,
@@ -870,99 +900,19 @@ def fiber(config: Configuration, z: complex, window=None) -> Fiber:
     return Fiber(z=z, points=tuple(pts), order_type=order_type, window=window)
 
 
-# ---------------------------------------------------------------------------
-# Truncated representatives
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruncatedRepresentative:
-    """Finitely many (z_n, w_n) pairs representing a solution point."""
-
-    config: Configuration
-    entries: tuple   # ((z_n, w_n), ...) aligned with the family's index order
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("a representative needs at least one entry")
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    moment_value: complex
-    moment_deviation: float
-    moment_constant: bool
-    stable: bool
-    violations: tuple
-
-
-def moduli_pair(lr: float, lc: complex, p: ImHPoint):
-    """(|z_n|^2, |w_n|^2) at moment value p for the center (lr, lc):
-    half of (|zeta+lambda_n| +- (zeta_r + lambda_r)), evaluated stably."""
-    d = p.t + lr
-    c = p.z + lc
-    s = math.hypot(d, abs(c))
-    c2 = abs(c) ** 2
-    if d >= 0:
-        zsq = (s + d) / 2.0
-        wsq = c2 / (2.0 * (s + d)) if s + d > 0 else 0.0
-    else:
-        wsq = (s - d) / 2.0
-        zsq = c2 / (2.0 * (s - d))
-    return zsq, wsq
-
-
-def representative_from_moment(config: Configuration, p, n_entries=None) -> TruncatedRepresentative:
-    """Build entries with the gauge z_n >= 0 real where possible; satisfies
-    the complex moment equation by construction."""
-    p = as_point(p)
-    n = config.family.clamp(n_entries or config.truncation)
-    entries = []
-    for i in config.family.index_range(n):
-        lr, lc = config.center(i)
-        zsq, wsq = moduli_pair(lr, lc, p)
-        zn = math.sqrt(zsq)
-        if zn > 0:
-            wn = (lc + p.z) / (2.0 * zn)
-        else:
-            wn = complex(math.sqrt(wsq))
-        entries.append((complex(zn), complex(wn)))
-    return TruncatedRepresentative(config=config, entries=tuple(entries))
-
-
-def check_representative(rep: TruncatedRepresentative, t=None) -> StabilityReport:
-    """Report complex-moment constancy and t-stability (default t = lambda_real).
-
-    t-stability fails exactly when some pair t_n > t_m has z_n = w_m = 0.
-    """
-    config = rep.config
-    n = len(rep.entries)
-    idx = list(config.family.index_range(n))
-    moments = []
-    for (zn, wn), i in zip(rep.entries, idx):
-        lr, lc = config.center(i)
-        moments.append(2.0 * zn * wn - lc)
-    ref = moments[0]
-    dev = max(abs(m - ref) for m in moments)
-    scale = 1.0 + max(abs(m) for m in moments)
-    constant = dev <= config.moment_rtol * scale
-
-    if t is None:
-        t = [config.center(i)[0] for i in idx]
-    z_zero = [(t[k], idx[k]) for k in range(n) if rep.entries[k][0] == 0]
-    w_zero = [(t[k], idx[k]) for k in range(n) if rep.entries[k][1] == 0]
-    violations = []
-    if z_zero and w_zero:
-        for tn, i in z_zero:
-            for tm, j in w_zero:
-                if tn > tm:
-                    violations.append((i, j))
-    return StabilityReport(
-        moment_value=ref,
-        moment_deviation=dev,
-        moment_constant=constant,
-        stable=not violations,
-        violations=tuple(violations[:16]),
-    )
+def moduli_pair(lr, lc, p: ImHPoint):
+    """(|z_n|^2, |w_n|^2) at moment value p for the centers (lr, lc), scalars
+    or arrays: half of |zeta + lambda_n| +- (zeta_r + lambda_r).  The sum
+    with d = zeta_r + lambda_r on its own side is formed directly, the other
+    as c^2/(s -+ d), c = |zeta_c + lambda_c|, so neither cancels."""
+    d = p.t + np.asarray(lr, dtype=float)
+    c = np.abs(p.z + np.asarray(lc))
+    s = np.hypot(d, c)
+    c2 = c * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zsq = np.where(d >= 0, s + d, c2 / (s - d))
+        wsq = np.where(d <= 0, s - d, c2 / (s + d))
+    return zsq / 2.0, wsq / 2.0
 
 
 # ---------------------------------------------------------------------------

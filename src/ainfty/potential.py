@@ -15,8 +15,10 @@ points, from the nearest octave outward, under the batch's one tolerance.
 Flow quantities come in two deliberately independent routes:
 ``flow_log_g`` integrates Phi along a vertical segment on Gauss-Legendre
 panels (``quad``) sized by a Bernstein-ellipse error bound, while
-``flow_log_g_sum`` evaluates the explicit sum of log ratios; their
-agreement is one of the bundled invariants.
+``flow_log_g_sum`` evaluates the explicit sum of log ratios plus the
+family's ``flow_tail`` (for the power law a Hurwitz zeta series that meets
+1e-12 at the enumerated truncation near the origin); their agreement is one
+of the bundled invariants.
 
 Normalization: both flow routes return the integral of the
 quarter-normalized potential, whose eta-derivative is exactly Phi.  The
@@ -39,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import Configuration
+from .config import Configuration, moduli_pair
 from .errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
                      SegmentHitsCenter, SingularPoint, TailUnresolved)
-from .geometry import as_point
+from .geometry import ImHPoint, as_point
 
 _EPS = float(np.finfo(float).eps)
 
@@ -334,6 +336,9 @@ def flow_log_g_sum(config: Configuration, eta_t: float, zeta_t: float, z,
     satisfies log|g|^2 = 4x this value, see the module docstring).
 
     Independent of ``flow_log_g``; both points must lie in the same gap.
+    A ratio is log1p((s1 + d1 - s0 - d0)/(s0 + d0)) (or its w-side mirror),
+    or, where that argument is below -1/2 or the segment crosses the
+    center's height, the log of the ``config.moduli_pair`` ratio.
     """
     z = complex(z)
     if eta_t == zeta_t:
@@ -349,17 +354,29 @@ def flow_log_g_sum(config: Configuration, eta_t: float, zeta_t: float, z,
         c = np.abs(z + lc)
         s0 = np.hypot(d0, c)
         s1 = np.hypot(d1, c)
-        # stable log ratios: (s1 - s0) = (d1-d0)(d1+d0)/(s1+s0)
-        ds = (d1 - d0) * (d1 + d0) / (s1 + s0)
+        # log1p of the ratios: s1 - s0 = (d1-d0)(d1+d0)/(s1+s0), d1 - d0 = dt
+        dt = eta_t - zeta_t
+        ds = dt * (d1 + d0) / (s1 + s0)
         plus = d0 >= 0
+        num = np.where(plus, ds + dt, ds - dt)
+        den = np.where(plus, s0 + d0, s0 - d0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.where(plus, ds + (d1 - d0), ds - (d1 - d0))
-            den = np.where(plus, s0 + d0, s0 - d0)
-            terms = np.where(plus, np.log1p(num / den), -np.log1p(num / den))
+            ratio = num / den
+            terms = np.log1p(ratio)
+        # below -1/2, or across a center's height, log1p loses digits
+        stable = (ratio < -0.5) | ((d1 >= 0) != plus)
+        if stable.any():
+            zsq0, wsq0 = moduli_pair(lr[stable], lc[stable], ImHPoint(zeta_t, z))
+            zsq1, wsq1 = moduli_pair(lr[stable], lc[stable], ImHPoint(eta_t, z))
+            on_z = plus[stable]
+            terms[stable] = np.log(np.where(on_z, zsq1, wsq1) / np.where(on_z, zsq0, wsq0))
+        terms = np.where(plus, terms, -terms)
         partial = float(np.sum(terms))
         est, err = fam.flow_tail(n, zeta_t, eta_t, z)
-        bound = err / 4.0 + _reachable(
-            _rounding_slop(np.abs(terms).sum() + abs(est)) / 4.0, eps)
+        # 64 eps max(|term|, 1/4) covers 17 ulps of a log1p term and 16 ulps
+        # of 1 plus one of itself for a moduli term
+        magnitude = np.where(stable, np.maximum(np.abs(terms), 0.25), np.abs(terms)).sum() + abs(est)
+        bound = err / 4.0 + _reachable(_rounding_slop(magnitude) / 4.0, eps)
         return CertifiedValue((partial + est) / 4.0, bound) if bound <= eps else None
     return _refine(config, accept)
 

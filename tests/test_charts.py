@@ -12,8 +12,9 @@ from ainfty.charts import (
     chart_inverse, gauge_point, section_coordinate,
 )
 from ainfty.config import finite_list, moduli_pair, power_law
-from ainfty.errors import (NotChartAdmissible, OutsideOverlap, SectionMismatch,
-                           SingularPoint, WrongDivisor)
+from ainfty import charts
+from ainfty.errors import (NotChartAdmissible, OutsideOverlap, RootBracketFailure,
+                           SectionMismatch, SingularPoint, WrongDivisor)
 from ainfty.geometry import ImHPoint
 from ainfty.potential import flow_log_g
 from ainfty.quotient import base_section, class_of
@@ -155,6 +156,49 @@ def test_round_trips_across_sections():
             assert abs(dtheta) <= 1e-8
             p2, _ = chart_forward(PL2, s, m, back)
             assert abs(p2 - p) <= 1e-8 * abs(p)
+
+
+SOLVER_FIN = finite_list([(1.0, 0j), (3.0, 0j), (-2.0, 0j), (0.5, 1 + 0j)])
+
+
+def _deviated(cfg, t, z=0j):
+    return base_section(cfg).deviate(z, class_of(cfg, ImHPoint(t, z)))
+
+
+# (configuration, section, height, base point): roots within 1e-6 of a gap
+# end, far up the unbounded base gap (and far along an off-axis fiber line),
+# and inside deviated gaps of a power law and of a finite list
+SOLVER_EDGES = (
+    [(PL2, _deviated(PL2, -6.5), t, 0j) for t in (-9 + 1e-6, -4 - 1e-6, -9 + 1e-7)]
+    + [(PL2, base_section(PL2), t, 0j) for t in (-1 + 1e-6, 1e3, 1e5)]
+    + [(PL2, base_section(PL2), t, 0.5j) for t in (-1e3, 1e4)]
+    + [(PL2, _deviated(PL2, -12.3), t, 0j) for t in (-12.3, -16 + 1e-3, -9 - 1e-4)]
+    + [(SOLVER_FIN, _deviated(SOLVER_FIN, -2.0), t, 0j) for t in (-3 + 1e-6, -1.0001)])
+
+
+@pytest.mark.parametrize("cfg,section,t,z", SOLVER_EDGES)
+def test_solver_round_trips_at_the_edges(cfg, section, t, z, monkeypatch):
+    m = canonical_multiplier(cfg, section)
+    p, q = chart_forward(cfg, section, m, gauge_point(cfg, t, z, 0.4))
+    evals = []
+    for name in ("value", "deriv"):
+        orig = getattr(charts._LogProfile, name)
+        monkeypatch.setattr(charts._LogProfile, name,
+                            lambda self, x, orig=orig: evals.append(x) or orig(self, x))
+    back = chart_inverse(cfg, section, m, (p, q))
+    assert abs(back.zeta.t - t) <= 1e-8 * (1 + abs(t))
+    # Newton from the gap's interior height: at most 8 value/derivative pairs
+    assert len(evals) <= 16
+
+
+def test_solver_raises_on_an_unbracketable_target():
+    # one center: log|f|^2 grows like log t up the base gap, so 1e4 is out
+    # of reach of any float height; Newton runs off, and the fallback's
+    # bracket search gives up
+    cfg = finite_list([(1.0, 0j)])
+    profile = charts._LogProfile(cfg, 0j, base_section(cfg).gap_at(0j))
+    with pytest.raises(RootBracketFailure):
+        charts._solve_monotone(profile, 1e4)
 
 
 def test_inverse_examples():

@@ -1,4 +1,4 @@
-"""Configuration, fiber, and representative checks."""
+"""Configuration, fiber, and tail checks."""
 
 import math
 import random
@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import config
 from ainfty.config import (
-    Finite, OMEGA_DOWN, check_representative, config_digest, config_from_dict,
-    config_to_dict, delta_set, fiber, finite_list, general_axial, hurwitz_zeta,
-    power_law, representative_from_moment, validate,
+    Finite, OMEGA_DOWN, config_digest, config_from_dict, config_to_dict,
+    delta_set, fiber, finite_list, general_axial, hurwitz_zeta, power_law,
+    validate,
 )
 from ainfty.errors import TailUnresolved, UnknownOrderType
 from ainfty.geometry import ImHPoint
@@ -135,6 +135,64 @@ def test_powerlaw_tail_series_matches_term_by_term():
         assert np.array_equal(est, _tail_series_term_by_term(beta, n, t, q))
 
 
+def _log_tail_oracle(beta, n, t, c):
+    """sum_{k>n} log((s + d)/(2S)), S = k^beta, d = t + S, s = sqrt(d^2 + c^2),
+    at 40 digits: 200 terms summed directly, the rest by Euler-Maclaurin
+    from m = n + 201 (the integral, with x = m u^-p, p = 1/(beta - 1),
+    bounded at u = 0, plus three corrections).  Each term is
+    log1p(t/S) + log1p(w/(2 (1 + sqrt(1 + w)))), w = c^2/(S + t)^2, the
+    same number without the loss of log near 1 far out.  The terms are
+    divided by |t| + c^2 while summed, as mpmath.quad meets an absolute
+    tolerance."""
+    if t == 0 and c == 0:
+        return mpmath.mpf(0)
+    with mpmath.workdps(40):
+        b, t, c = mpmath.mpf(beta), mpmath.mpf(t), mpmath.mpf(c)
+        scale = abs(t) + c * c
+
+        def f(x):
+            s = x ** b
+            w = c * c / (s + t) ** 2
+            return (mpmath.log1p(t / s) + mpmath.log1p(w / (2 * (1 + mpmath.sqrt(1 + w))))) / scale
+        m = mpmath.mpf(n + 201)
+        p = 1 / (b - 1)
+        tail = mpmath.quad(lambda u: f(m * u ** -p) * m * p * u ** (-p - 1), [0, 1]) + f(m) / 2
+        for k in (1, 2, 3):
+            tail -= mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.diff(f, m, 2 * k - 1)
+        return (mpmath.fsum(f(mpmath.mpf(k)) for k in range(n + 1, n + 201)) + tail) * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.2, 3.0), st.sampled_from([64, 1024]), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.3, 2.0]))
+def test_powerlaw_log_tail_within_bound_of_oracle(beta, n, f0, f1, c):
+    fam = power_law(beta).family
+    s0 = float(n + 1) ** beta
+    # heights up to the validity limit 2|t| + (t^2 + c^2)/s0 = s0/2
+    t_max = 0.999 * (math.sqrt(1.5 * s0 * s0 - c * c) - s0)
+    t0, t1 = f0 * t_max, f1 * t_max
+    z = c * complex(0.6, 0.8)
+    oracle = {t: _log_tail_oracle(beta, n, t, abs(z)) for t in (t0, t1)}
+    for t in (t0, t1):
+        est, err = fam.log_tail(n, t, z)
+        assert err < math.inf
+        assert abs(est - oracle[t]) <= err, (t, est, err)
+    est, err = fam.flow_tail(n, t0, t1, z)
+    assert abs(est - (oracle[t1] - oracle[t0])) <= err
+
+
+def test_powerlaw_log_tail_bound_at_enumerated_truncation():
+    # the heights and base points of the bench's query ops: gaps k <= 5
+    # (down to -6^beta), off-axis flows up to 20, |z| <= 3
+    for beta in (2.0, 3.0):
+        fam = power_law(beta).family
+        heights = np.linspace(-(6.0 ** beta), 20.0, 101).tolist()
+        for z in (0j, 1.0, 2 - 2j):
+            assert max(fam.log_tail(1024, t, z)[1] for t in heights) <= 1e-12
+            assert max(fam.flow_tail(1024, a, b, z)[1]
+                       for a, b in zip(heights, heights[::-1])) <= 1e-12
+
+
 def test_delta_set_examples():
     assert delta_set(power_law(2.0), 10.0) == {0j}
     cfg = finite_list([(1.0, 2 + 1j), (3.0, 2 + 1j), (0.0, 5 + 0j)])
@@ -197,33 +255,6 @@ def test_general_axial_undeclared_raises():
     )
     with pytest.raises(UnknownOrderType):
         fiber(cfg, complex(-1))
-
-
-def test_representative_base_point():
-    cfg = power_law(2.0, truncation=64)
-    rep = representative_from_moment(cfg, ImHPoint(0.0, 0j))
-    report = check_representative(rep)
-    assert report.moment_constant
-    assert abs(report.moment_value) <= 1e-12
-    assert report.moment_deviation <= 1e-12
-    assert report.stable
-
-
-def test_representative_instability():
-    cfg = finite_list([(2.0, 0j), (1.0, 0j)])
-    rep = representative_from_moment(cfg, ImHPoint(0.0, 0j))
-    rep = type(rep)(config=cfg, entries=((0j, 0j), (0j, 0j)))
-    report = check_representative(rep)   # t = lambda_real = (2, 1), t_0 > t_1
-    assert not report.stable
-    assert (0, 1) in report.violations
-
-
-def test_representative_generic_point():
-    cfg = power_law(2.0, truncation=128)
-    rep = representative_from_moment(cfg, ImHPoint(0.7, 0.3 - 0.2j), 128)
-    report = check_representative(rep)
-    assert report.moment_constant
-    assert abs(report.moment_value - (0.3 - 0.2j)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -253,6 +253,44 @@ def test_flow_bound_holds_against_mpmath(which, z, a, b):
         assert abs(v.value - oracle) <= v.error_bound, (eps, v, oracle)
 
 
+def _flow_sum_oracle(t0, t1, c):
+    """(1/4) sum_n [asinh((t1 + n^2)/c) - asinh((t0 + n^2)/c)], the flow
+    from t0 to t1 over a base point at distance c from the axis of
+    power_law(2.0), at 40 digits: directly below m, past both heights, and
+    by Euler-Maclaurin from m on (the integral, with x = m/u, plus three
+    corrections), where each term is L(t1) - L(t0) with
+    L(t) = log1p(t/S) + log1p(w/(2 (1 + sqrt(1 + w)))), w = c^2/(S + t)^2,
+    the same difference without the loss of asinh far out."""
+    with mpmath.workdps(40):
+        t0, t1, c = mpmath.mpf(t0), mpmath.mpf(t1), mpmath.mpf(c)
+        m = 2 * int(math.sqrt(max(abs(t0), abs(t1)))) + 200
+
+        def log_term(s, t):
+            w = c * c / (s + t) ** 2
+            return mpmath.log1p(t / s) + mpmath.log1p(w / (2 * (1 + mpmath.sqrt(1 + w))))
+
+        def f(x):
+            return log_term(x * x, t1) - log_term(x * x, t0)
+        direct = mpmath.fsum(mpmath.asinh((t1 + n * n) / c) - mpmath.asinh((t0 + n * n) / c)
+                             for n in range(1, m))
+        tail = mpmath.quad(lambda u: f(m / u) * m / (u * u), [0, 1]) + f(mpmath.mpf(m)) / 2
+        for k in (1, 2, 3):
+            tail -= mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.diff(f, m, 2 * k - 1)
+        return (direct + tail) / 4
+
+
+@pytest.mark.parametrize("eta,zeta,z", [(3e4, -3e4, 0.5j), (100.0, -100.0, 1e-6j),
+                                        (-100.0, 100.0, 1e-6j), (-3.0, -0.5, 1e-7)])
+def test_flow_sum_bound_holds_across_centers(eta, zeta, z):
+    # segments past many center heights off the axis, where a log ratio
+    # near -1 lost its digits to log1p: 9.0e-8 off at the first, log(0) at
+    # the second and third (the last only ends 1e-7 from center 1's height)
+    v = flow_log_g_sum(power_law(2.0), eta, zeta, z, eps=1e-9)
+    oracle = _flow_sum_oracle(zeta, eta, abs(z))
+    assert v.error_bound <= 1e-9
+    assert abs(v.value - oracle) <= v.error_bound, (v, oracle)
+
+
 def test_flow_bound_covers_node_rounding():
     # A node at height t is only placed to within about |t| 1e-16; next to
     # a center at distance c that moves the integrand by a relative |t|
