@@ -108,24 +108,63 @@ def _zeta_memo(fn, s: float, a: int) -> float:
 
 
 _TAIL_ORDER = 8
-# The terms of _powerlaw_tail_series, (2t)^j q^i zeta(m beta, N + 1) times
-# binom(-1/2, k) binom(k, i), in summation order: the coefficients, j, i
-# and the index m - 1 of the zeta value
-_TAIL_COEFF, _TAIL_POW_2T, _TAIL_POW_Q, _TAIL_ZETA = (np.array(v) for v in zip(*(
-    (_binom_half(k) * math.comb(k, i), k - i, i, k + i)
-    for k in range(_TAIL_ORDER + 1) for i in range(k + 1))))
+# Elements in one block of the vectorized kernels (about 1 MB of float64,
+# so that a block stays in cache); the potential kernel uses it too.
+_BLOCK = 1 << 17
+
+
+@functools.lru_cache(maxsize=256)
+def _tail_matrix(fn, beta: float, n_centers: int):
+    """C[i][j], the coefficient of q^i (2t)^j in ``_powerlaw_tail_series``:
+    binom(-1/2, i + j) binom(i + j, i) zeta((2i + j + 1) beta, N + 1) for
+    i + j <= _TAIL_ORDER, as a tuple of rows of floats.  Keyed on the zeta
+    function fn, as ``_zeta_memo`` is."""
+    order = _TAIL_ORDER
+    return tuple(
+        tuple(_binom_half(i + j) * math.comb(i + j, i) * _zeta_memo(fn, (2 * i + j + 1) * beta, n_centers + 1)
+              for j in range(order + 1 - i))
+        for i in range(order + 1))
+
+
+def _horner(c, x, q):
+    """sum_ij c[i][j] q^i x^j: Horner's rule in x for every row i at once,
+    then in q.  The same operations on floats or, elementwise and in place
+    after each row's first step, on arrays."""
+    order = len(c) - 1
+    rows = [0.0] * (order + 1)
+    for j in range(order, -1, -1):
+        for i in range(order - j):      # the rows of degree above j
+            r = rows[i]
+            r *= x
+            r += c[i][j]
+            rows[i] = r
+        rows[order - j] = c[order - j][j]
+    est = rows[order]
+    for i in range(order - 1, -1, -1):
+        est *= q
+        est += rows[i]
+    return est
+
+
+def _tail_rounding(beta: float, n_centers: int) -> float:
+    """The rounding term of ``_powerlaw_tail_series``, one scalar for every
+    valid point: 128 u (u = 2^-53) of sqrt(2) zeta(beta, N + 1), which bounds
+    the series' absolute sum, plus 256 subnormal units."""
+    return 128.0 * _MACHEP * math.sqrt(2.0) * _zeta_value(beta, n_centers + 1) \
+        + 256.0 * math.ulp(0.0)
 
 
 def _powerlaw_tail_bound(beta: float, n_centers: int, t, q) -> float:
     """The error bound of ``_powerlaw_tail_series`` without its estimate
-    (inf where the series is not valid)."""
+    (inf where the series is not valid): the truncation remainder plus
+    ``_tail_rounding``."""
     s0 = float(n_centers + 1) ** beta
     u1 = 2.0 * np.abs(t) + q / s0
     u1max = float(u1.max()) if u1.size else 0.0
     if u1max > 0.5 * s0:
         return math.inf
     return 2.0 * u1max ** (_TAIL_ORDER + 1) * _zeta_value(
-        (_TAIL_ORDER + 2) * beta, n_centers + 1)
+        (_TAIL_ORDER + 2) * beta, n_centers + 1) + _tail_rounding(beta, n_centers)
 
 
 def _powerlaw_tail_series(beta: float, n_centers: int, t, q):
@@ -135,7 +174,14 @@ def _powerlaw_tail_series(beta: float, n_centers: int, t, q):
     Expands s^-1 (1+u)^(-1/2), u = (2t + q/s)/s, s = n^beta, into Hurwitz
     zeta values; |u| <= (2|t| + q/s0)/s <= 1/2 makes the dropped binomial
     tail at most 2 |u|^(order+1), summed to 2 u1^(order+1) zeta(beta(order+2)).
-    The estimate is a polynomial in t of degree at most 2 order.
+    The estimate is a polynomial in t of degree at most 2 order: the cached
+    ``_tail_matrix`` C evaluated by Horner's rule in x = 2t for all the rows
+    q^i at once, then in q, in blocks of points.  Each point's value does
+    not depend on the blocking.  At |u| <= 1/2 the absolute series,
+    sum_ij |C_ij| |x|^j q^i, is at most sqrt(2) zeta(beta, N + 1), and the
+    rounding of both Horner passes (2 x 16 steps, Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1), of zeta (8 ulps) and of q (4u,
+    raised to the 8th power) stays below 128 u of it: ``_tail_rounding``.
     """
     t = np.asarray(t, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -143,20 +189,14 @@ def _powerlaw_tail_series(beta: float, n_centers: int, t, q):
     err = _powerlaw_tail_bound(beta, n_centers, t, q)
     if err == math.inf:
         return None, math.inf
-    zv = np.array([_zeta_value(m * beta, n_centers + 1) for m in range(1, 2 * order + 2)])
+    c = _tail_matrix(hurwitz_zeta, beta, n_centers)
+    if t.size == 1:
+        return np.full(t.shape, _horner(c, 2.0 * float(t.flat[0]), float(q.flat[0]))), err
     tv, qv = t.reshape(-1), q.reshape(-1)
     est = np.empty(tv.shape)
-    for a in range(0, tv.size, 4096):
-        b = min(a + 4096, tv.size)
-        t2 = 2.0 * tv[a:b]
-        pow_2t = np.array([t2 ** j for j in range(order + 1)])
-        pow_q = np.array([qv[a:b] ** i for i in range(order + 1)])
-        # every term at once, with the scalar factors in the same order
-        # as term by term; accumulate then adds them in sequence
-        terms = _TAIL_COEFF[:, None] * pow_2t[_TAIL_POW_2T]
-        terms *= pow_q[_TAIL_POW_Q]
-        terms *= zv[_TAIL_ZETA, None]
-        est[a:b] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    step = _BLOCK // (order + 1)
+    for a in range(0, tv.size, step):
+        est[a:a + step] = _horner(c, 2.0 * tv[a:a + step], qv[a:a + step])
     return est.reshape(t.shape), err
 
 
@@ -502,6 +542,27 @@ class PowerLawFamily(_AxialDecreasingFamily):
     def center_arrays(self, n_centers: int):
         n = np.arange(1, n_centers + 1, dtype=float)
         return n ** self.beta, np.zeros(n_centers, dtype=complex)
+
+    def _last_above(self, t: float, n_max: int) -> int:
+        """The generic search's answer from the guess (-t)^(1/beta),
+        corrected by exact comparisons with a_n.  The generic search raises
+        once it would double past n_max, which is exactly when a_h < -t for
+        the smallest power of two h >= 2 with 2h > n_max; it alone serves
+        guesses from n_max up (and nan)."""
+        if -t <= 1.0:           # a_1 = 1
+            return 0
+        guess = (-t) ** (1.0 / self.beta)
+        if not guess < n_max:
+            return super()._last_above(t, n_max)
+        n = int(guess)
+        while self.a(n + 1) < -t:
+            n += 1
+        while n > 1 and self.a(n) >= -t:
+            n -= 1
+        if 2 * n > n_max and n >= max(2, 1 << (n_max.bit_length() - 1)):
+            raise TailUnresolved(
+                f"fiber enumeration beyond max truncation {n_max} needed at height {t}")
+        return n
 
     # --- sharp tails ------------------------------------------------------
 

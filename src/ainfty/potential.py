@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import Configuration, moduli_pair
+from .config import _BLOCK, Configuration, moduli_pair
 from .errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
                      SegmentHitsCenter, SingularPoint, TailUnresolved)
 from .geometry import ImHPoint, as_point
@@ -121,7 +121,14 @@ def _potential_sum(config: Configuration, n: int, t, z, centers=None,
     ``centers`` passes the first N centers when the caller holds them.
     Axial centers use c = |z| without forming z + lambda_c.  ``floor``,
     the points' |zeta| as a flat array, clamps every distance to
-    1e-9 (1 + |zeta|), for growth samples that may land on a center.
+    1e-9 (1 + |zeta|), for growth samples that may land on a center.  On
+    an axial row with c >= 2e-9 (1 + |zeta|) every distance is at least
+    c (1 - 2u) and above that floor, so only the other rows are clamped.
+
+    The points go in blocks of about _BLOCK elements (rows of N terms),
+    each summed in place in one reused, cache-sized buffer, in the
+    calling thread.  A row's sum does not depend on its block, so the
+    result is the same bit for bit for any blocking.
     """
     fam = config.family
     lr, lc = fam.center_arrays(n) if centers is None else centers
@@ -129,20 +136,33 @@ def _potential_sum(config: Configuration, n: int, t, z, centers=None,
     z = np.asarray(z)
     tv, zv = t.reshape(-1), z.reshape(-1)
     axial = not lc.any()
+    if axial:
+        c = np.abs(zv)
+        c2 = c * c
+    clamped = None
+    if floor is not None:
+        clamped = (np.flatnonzero(c < 2e-9 * (1.0 + floor)) if axial
+                   else np.arange(tv.size))
     out = np.empty(tv.shape)
-    chunk = max(256, 2_000_000 // max(lr.size, 1))
-    for a in range(0, tv.size, chunk):
-        b = min(a + chunk, tv.size)
-        # in place: one (chunk, N) temporary keeps peak memory down
-        s = tv[a:b, None] + lr[None, :]
+    rows = max(1, _BLOCK // max(lr.size, 1))
+    buf = np.empty(min(rows, tv.size) * lr.size)
+    for a in range(0, tv.size, rows):
+        b = min(a + rows, tv.size)
+        s = buf[:(b - a) * lr.size].reshape(b - a, lr.size)
+        np.add(tv[a:b, None], lr, out=s)
         s *= s
-        c = np.abs(zv[a:b, None]) if axial else np.abs(zv[a:b, None] + lc[None, :])
-        s += c * c
+        if axial:
+            s += c2[a:b, None]
+        else:
+            ck = np.abs(zv[a:b, None] + lc[None, :])
+            s += ck * ck
         np.sqrt(s, out=s)
-        if floor is not None:
-            np.maximum(s, 1e-9 * (1.0 + floor[a:b, None]), out=s)
+        if clamped is not None:
+            k = clamped[np.searchsorted(clamped, a):np.searchsorted(clamped, b)]
+            if k.size:
+                s[k - a] = np.maximum(s[k - a], 1e-9 * (1.0 + floor[k, None]))
         np.reciprocal(s, out=s)
-        out[a:b] = np.sum(s, axis=1)
+        np.sum(s, axis=1, out=out[a:b])
     est, err = fam.phi_tail(n, t, z)
     return out.reshape(t.shape) + est, err
 

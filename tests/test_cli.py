@@ -220,3 +220,26 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_kernel_starts_no_thread():
+    # a growth-sized kernel call runs in the calling thread: nothing loads
+    # concurrent.futures or starts a thread, at import or after the call
+    script = """
+import sys
+import threading
+import ainfty.cli
+import numpy as np
+from ainfty import config, potential
+before = ("concurrent.futures" in sys.modules, threading.active_count())
+t = np.linspace(-50.0, 50.0, 1000)
+potential._potential_sum(config.power_law(2.0), 1024, t, np.ones_like(t))
+print(before, ("concurrent.futures" in sys.modules, threading.active_count()))
+"""
+    env = dict(os.environ)
+    src = str(Path(ainfty.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "(False, 1) (False, 1)"

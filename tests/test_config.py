@@ -6,7 +6,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ainfty import config
 from ainfty.config import (
@@ -99,8 +99,9 @@ def test_hurwitz_zeta_matches_mpmath():
 def test_hurwitz_zeta_underflow_is_zero():
     # every term underflows; the C stopping tests see 0/0 there and never fire
     assert hurwitz_zeta(400.0, (1 << 21) + 1) == 0.0
-    # the tail bound of a steep power law evaluates zeta(600, 4097) = 0.0
-    assert power_law(60.0).family.phi_tail(1 << 12, 0.0, 0j)[1] == 0.0
+    # the tail bound of a steep power law evaluates zeta(600, 4097) = 0.0:
+    # its remainder vanishes and only the series' rounding term is left
+    assert power_law(60.0).family.phi_tail(1 << 12, 0.0, 0j)[1] == config._tail_rounding(60.0, 1 << 12)
 
 
 def test_tail_probe_bound_equals_full_tail_bound():
@@ -122,9 +123,9 @@ def _tail_series_term_by_term(beta, n, t, q):
     return est
 
 
-def test_powerlaw_tail_series_matches_term_by_term():
-    # the vectorized series does the same operations in the same order,
-    # across its chunks of points too, so the estimates are equal
+def test_powerlaw_tail_series_matches_term_by_term(monkeypatch):
+    # Horner's rule rounds differently from the term-by-term sum, within the
+    # series' rounding term; a point's value does not depend on the blocks
     rng = np.random.default_rng(5)
     for beta, n, size in [(2.0, 1024, 26), (1.3, 64, 1), (3.0, 7, 4097), (2.5, 4096, 9000)]:
         s0 = float(n + 1) ** beta
@@ -132,7 +133,57 @@ def test_powerlaw_tail_series_matches_term_by_term():
         q = t * t + (rng.uniform(0.0, 0.2, size) * s0) ** 2
         est, err = config._powerlaw_tail_series(beta, n, t, q)
         assert err < math.inf
-        assert np.array_equal(est, _tail_series_term_by_term(beta, n, t, q))
+        gap = np.abs(est - _tail_series_term_by_term(beta, n, t, q))
+        assert gap.max() <= config._tail_rounding(beta, n)
+        with monkeypatch.context() as m:
+            m.setattr(config, "_BLOCK", 9 * 1000)
+            assert np.array_equal(config._powerlaw_tail_series(beta, n, t, q)[0], est)
+
+
+def _phi_tail_oracle(beta, n, t, c):
+    """sum_{k>n} 1/sqrt((t + k^beta)^2 + c^2) at 40 digits: 200 terms
+    summed directly, the rest by Euler-Maclaurin from m = n + 201 (the
+    integral, with x = m u^-p, p = 1/(beta - 1), bounded at u = 0, plus
+    three corrections).  The terms are scaled by (n + 1)^(beta - 1), about
+    the inverse of the sum, while summed, as mpmath.quad meets an absolute
+    tolerance."""
+    with mpmath.workdps(40):
+        b, t, c = mpmath.mpf(beta), mpmath.mpf(t), mpmath.mpf(c)
+        scale = mpmath.mpf(n + 1) ** (b - 1)
+
+        def f(x):
+            return scale / mpmath.sqrt((t + x ** b) ** 2 + c * c)
+        m = mpmath.mpf(n + 201)
+        p = 1 / (b - 1)
+        tail = mpmath.quad(lambda u: f(m * u ** -p) * m * p * u ** (-p - 1), [0, 1]) + f(m) / 2
+        for k in (1, 2, 3):
+            tail -= mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.diff(f, m, 2 * k - 1)
+        return (mpmath.fsum(f(mpmath.mpf(k)) for k in range(n + 1, n + 201)) + tail) / scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.2, 3.0), st.sampled_from([64, 1024]), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+@example(2.0, 64, 0.0, 0.0, 0.0).via("the estimate is zeta(2, 65): rounding only")
+@example(1.5, 1024, 0.0, 0.0, 0.5).via("rounding only, off the axis")
+def test_powerlaw_tail_series_within_bound_of_oracle(beta, n, f0, f1, g):
+    fam = power_law(beta).family
+    s0 = float(n + 1) ** beta
+    # heights up to the validity limit 2|t| + (t^2 + c^2)/s0 = s0/2, and c
+    # (the same at both heights) up to it at the larger one
+    t_max = 0.999 * (math.sqrt(1.5 * s0 * s0) - s0)
+    t0, t1 = f0 * t_max, f1 * t_max
+    top = max(abs(t0), abs(t1))
+    c = 0.999 * g * math.sqrt(max(0.0, 0.5 * s0 * s0 - 2.0 * top * s0 - top * top))
+    z = c * complex(0.6, 0.8)
+    oracle = [_phi_tail_oracle(beta, n, t, c) for t in (t0, t1)]
+    est, err = fam.phi_tail(n, [t0, t1], [z, z])
+    assert err < math.inf
+    for e, o in zip(est, oracle):
+        assert abs(e - o) <= err, (e, o, err)
+    for t, o in zip((t0, t1), oracle):
+        e, err = fam.phi_tail(n, t, z)
+        assert abs(e - o) <= err, (t, e, o, err)
 
 
 def _log_tail_oracle(beta, n, t, c):

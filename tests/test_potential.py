@@ -172,6 +172,53 @@ def test_phi_batch_truncation_per_octave(monkeypatch):
         assert abs(v - oracle) <= tol + potential._rounding_slop(v), (ti, ci)
 
 
+def _kernel_rows(config, n, t, z, floor=None):
+    """The reference for ``_potential_sum``: each point's terms formed and
+    summed one row at a time, the floor clamp on every row, plus the
+    kernel's tail estimate for the batch."""
+    lr, lc = config.family.center_arrays(n)
+    total = np.empty(len(t))
+    for i, (ti, zi) in enumerate(zip(t, z)):
+        s = (ti + lr) * (ti + lr)
+        c = np.abs(zi + lc)
+        s += c * c
+        s = np.sqrt(s)
+        if floor is not None:
+            s = np.maximum(s, 1e-9 * (1.0 + floor[i]))
+        total[i] = np.sum(1.0 / s)
+    return total + config.family.phi_tail(n, t, z)[0]
+
+
+def test_kernel_matches_rows_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(11)
+    # 400 points of N = 1024 terms: four blocks of 128 rows
+    cfg, n = power_law(2.0), 1024
+    t, c = rng.uniform(-60.0, 60.0, 400), rng.uniform(0.0, 40.0, 400)
+    total, _ = potential._potential_sum(cfg, n, t, c)
+    assert np.array_equal(total, _kernel_rows(cfg, n, t, c))
+    # samples on a center (the floor binds) and with c just below, at and
+    # just above the elision threshold 2e-9 (1 + |zeta|), a center's
+    # distance away, next to the random ones
+    t[:6] = [-4.0, -1.0, -9.0, -9.0, -9.0, -9.0]
+    c[:6] = 0.0
+    c[2:6] = 2e-9 * (1.0 + 9.0) * np.array([0.4, 1 - 1e-15, 1.0, 1 + 1e-15])
+    r = np.hypot(t, c)
+    total, _ = potential._potential_sum(cfg, n, t, c, floor=r)
+    assert np.array_equal(total, _kernel_rows(cfg, n, t, c, floor=r))
+    assert total[0] > 1e8 and total[1] > 1e8 and total[2] > 1e8
+    # off the axis every row is clamped: one sample on the center at
+    # (0, 1j), another 1e-10 from it; blocks of 1000 rows
+    monkeypatch.setattr(potential, "_BLOCK", 3000)
+    fin = finite_list([(0.0, 1j), (1.0, 0j), (-2.0, 2 + 1j)])
+    t = rng.uniform(-3.0, 3.0, 3500)
+    z = rng.uniform(-3.0, 3.0, 3500) + 1j * rng.uniform(-3.0, 3.0, 3500)
+    t[:2], z[:2] = 0.0, [-1j, -1j + 1e-10]
+    r = np.hypot(t, np.abs(z))
+    total, _ = potential._potential_sum(fin, 3, t, z, floor=r)
+    assert np.array_equal(total, _kernel_rows(fin, 3, t, z, floor=r))
+    assert total[0] > 4e8 and total[1] > 4e8
+
+
 def test_flow_zero_segment():
     assert flow_log_g(PL2, 0j, 0.5, 0.5) == CertifiedValue(0.0, 0.0)
     assert flow_log_g_sum(PL2, -2.5, -2.5, 0j).value == 0.0

@@ -1,10 +1,13 @@
 """Quotient classes, partial order, sections, and divisors."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ainfty.config import finite_list, power_law
+from ainfty.config import PowerLawFamily, _AxialDecreasingFamily, finite_list, power_law
+from ainfty.errors import TailUnresolved
 from ainfty.geometry import ImHPoint
 from ainfty.quotient import (
     IntegerDivisor, Ordering, base_section, class_of,
@@ -145,3 +148,35 @@ def test_section_normalization():
     assert s2.support == (0j,)
     back = s2.deviate(0j, o.gap_at(0j))
     assert back == o
+
+
+def _search(last_above, fam, t, n_max):
+    try:
+        return last_above(fam, t, n_max)
+    except TailUnresolved:
+        return "raises"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just(1.01), st.floats(1.01, 4.0)),
+       st.one_of(st.integers(1, 8), st.integers(1, 1 << 21)),
+       st.sampled_from(["any", "n_max", "power of two"]), st.integers(1, 1 << 22),
+       st.integers(-2, 2), st.sampled_from(["hit", "below", "above", "between", "infinite"]),
+       st.floats(0.0, 1.0))
+def test_power_law_neighbor_search_matches_generic(beta, n_max, anchor, k, shift, where, frac):
+    # the O(1) search of PowerLawFamily against the doubling and bisection
+    # of _AxialDecreasingFamily, at exact hits -n^beta, one ulp beside them,
+    # between them, near the max_truncation limit, where both raise, and
+    # at -inf
+    fam = PowerLawFamily(beta)
+    if anchor == "n_max":
+        k = n_max
+    elif anchor == "power of two":
+        k = 1 << max(n_max.bit_length() - 1, 1)
+    k = max(1, k + shift)
+    a = fam.a(k)
+    t = {"hit": -a, "below": -math.nextafter(a, math.inf),
+         "above": -math.nextafter(a, 0.0),
+         "between": -(a + frac * (fam.a(k + 1) - a)), "infinite": -math.inf}[where]
+    assert (_search(PowerLawFamily._last_above, fam, t, n_max)
+            == _search(_AxialDecreasingFamily._last_above, fam, t, n_max)), (t, n_max)
