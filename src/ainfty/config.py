@@ -14,10 +14,13 @@ Tail oracles.  Each family provides two primitives,
   sum_{n>N} 1/(|lambda_n| - r), finite only when min_tail_norm(N) > r,
 
 from which coarse potential / log-product / flow tails derive.  The power
-law family lambda_n = n^beta i overrides these with Hurwitz zeta series of
-order _TAIL_ORDER (potential) and _LOG_ORDER (log product and flow) with
-certified remainders; the coarse 1/N bounds alone cannot certify
-tolerances near 1e-10 at sane truncations.
+law family lambda_n = n^beta i overrides these with sharp series whose
+remainders and rounding are certified: the potential tail is the
+axisymmetric multipole (Legendre) series of order _LEGENDRE_ORDER, whose
+coefficients come from ``scaled_hurwitz_zeta`` and which converges while
+the radius stays below (N + 1)^beta, and the log product and flow tails are
+Hurwitz zeta series of order _LOG_ORDER.  The coarse 1/N bounds alone
+cannot certify tolerances near 1e-10 at sane truncations.
 
 Combinatorial identity (fiber membership, base-point matching, divisor
 supports) uses exact float equality; tolerances appear only in numerical
@@ -65,14 +68,37 @@ def hurwitz_zeta(x: float, q: float) -> float:
         raise ValueError("hurwitz_zeta needs x > 1 and q > 0")
     if q > 1e8:     # asymptotic expansion, DLMF 25.11.43
         return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
-    s = q ** -x
+    return _cephes_zeta(x, q, 1.0)
+
+
+def scaled_hurwitz_zeta(x: float, q: float) -> float:
+    """q^x zeta(x, q) = sum_{k>=0} (1 + k/q)^-x for x > 1, q > 0, within
+    x + 16 ulps.
+
+    ``hurwitz_zeta``'s summation with each term a^-x taken as (a/q)^-x.
+    The value is at least 1, so it does not underflow where zeta(x, q)
+    does.  Rounding a/q moves a term by a relative x u (u = 2^-53); the
+    power, the sums and the Euler-Maclaurin steps add a few ulps.  There is
+    no asymptotic branch for q > 1e8: there the loop stops after nine terms
+    and the Euler-Maclaurin corrections converge at once.
+    """
+    x, q = float(x), float(q)
+    if not (x > 1.0 and q > 0.0):
+        raise ValueError("scaled_hurwitz_zeta needs x > 1 and q > 0")
+    return _cephes_zeta(x, q, q)
+
+
+def _cephes_zeta(x: float, q: float, scale: float) -> float:
+    """sum_{k>=0} ((k + q)/scale)^-x by the Cephes loop; with scale = 1.0
+    every term and step is the Cephes one."""
+    s = (q / scale) ** -x
     a = q
     i = 0
     b = 0.0
     while i < 9 or a <= 9.0:
         i += 1
         a += 1.0
-        b = a ** -x
+        b = (a / scale) ** -x
         s += b
         if s != 0.0 and abs(b / s) < _MACHEP:
             return s
@@ -107,100 +133,180 @@ def _zeta_memo(fn, s: float, a: int) -> float:
     return float(fn(s, a))
 
 
-_TAIL_ORDER = 8
 # Elements in one block of the vectorized kernels (about 1 MB of float64,
 # so that a block stays in cache); the potential kernel uses it too.
 _BLOCK = 1 << 17
 
 
+# Order L of the power-law potential tail: Legendre terms l = 0..L.
+_LEGENDRE_ORDER = 16
+# Steps l = 1..L-1 of (l+1) R_{l+1} = (2l+1) y R_l - l w R_{l-1}: the factors
+# ((2l+1)/(l+1), l/(l+1)), and as rows (-l/(l+1), (2l+1)/(l+1)) for np.dot
+_STEPS = tuple(((2 * l + 1) / (l + 1), l / (l + 1)) for l in range(1, _LEGENDRE_ORDER))
+_STEP_ROWS = tuple(np.array([-b, a]) for a, b in _STEPS)
+
+
+def _majorants(order: int):
+    # alpha_l = |P_l(i)|, the sum of the absolute coefficients of P_l:
+    # (l+1) alpha_{l+1} = (2l+1) alpha_l + l alpha_{l-1}, all terms positive
+    alpha = [1.0, 1.0]
+    for l in range(1, order):
+        alpha.append(((2 * l + 1) * alpha[l] + l * alpha[l - 1]) / (l + 1))
+    return tuple(alpha)
+
+
+_ALPHA = _majorants(_LEGENDRE_ORDER)
+
+
 @functools.lru_cache(maxsize=256)
-def _tail_matrix(fn, beta: float, n_centers: int):
-    """C[i][j], the coefficient of q^i (2t)^j in ``_powerlaw_tail_series``:
-    binom(-1/2, i + j) binom(i + j, i) zeta((2i + j + 1) beta, N + 1) for
-    i + j <= _TAIL_ORDER, as a tuple of rows of floats.  Keyed on the zeta
-    function fn, as ``_zeta_memo`` is."""
-    order = _TAIL_ORDER
-    return tuple(
-        tuple(_binom_half(i + j) * math.comb(i + j, i) * _zeta_memo(fn, (2 * i + j + 1) * beta, n_centers + 1)
-              for j in range(order + 1 - i))
-        for i in range(order + 1))
+def _legendre_coeffs(beta: float, n_centers: int):
+    """Z_l = s0^(l+1) zeta((l+1) beta, N + 1) = sum_{n>N} (s0/n^beta)^(l+1),
+    s0 = (N + 1)^beta, for l <= _LEGENDRE_ORDER, from
+    ``scaled_hurwitz_zeta``: as a tuple of floats and as an array."""
+    z = tuple(scaled_hurwitz_zeta((l + 1) * beta, n_centers + 1)
+              for l in range(_LEGENDRE_ORDER + 1))
+    return z, np.array(z)
 
 
-def _horner(c, x, q):
-    """sum_ij c[i][j] q^i x^j: Horner's rule in x for every row i at once,
-    then in q.  The same operations on floats or, elementwise and in place
-    after each row's first step, on arrays."""
-    order = len(c) - 1
-    rows = [0.0] * (order + 1)
-    for j in range(order, -1, -1):
-        for i in range(order - j):      # the rows of degree above j
-            r = rows[i]
-            r *= x
-            r += c[i][j]
-            rows[i] = r
-        rows[order - j] = c[order - j][j]
-    est = rows[order]
-    for i in range(order - 1, -1, -1):
-        est *= q
-        est += rows[i]
-    return est
+def _legendre_rounding(beta: float, n_centers: int, rho: float) -> float:
+    """The rounding term of ``_legendre_tail`` at points whose y and
+    sqrt(w) are at most rho.
+
+    After Higham (Accuracy and Stability of Numerical Algorithms, 3.1 and
+    5.1), with u = 2^-53: the recurrence moves R_l by at most
+    (1 + 4u)^l - 1 of alpha_l rho^l, where alpha_l = |P_l(i)| (``_ALPHA``)
+    bounds |R_l| / rho^l for every point; the rounding of y and w moves it
+    by 8 u per degree; Z_l is off by the (l + 1) beta + 16 ulps (2 u each)
+    of ``scaled_hurwitz_zeta`` and 2 u per power of s0; the sum and the
+    division add (L + 2) u.  With Z_l <= Zb_0 = 1 + (N + 1)/(beta - 1)
+    (the first term plus the integral of the rest) all of it stays below
+    kappa = 16 L + 64 + 2 (L + 1) beta units u of Zb_0 alpha_l rho^l / s0
+    on the l-th term.  Underflow adds at most 2^-1000 Zb_0 / s0 and 256
+    subnormal units."""
+    a = float(n_centers + 1)
+    s0 = a ** beta
+    zb0 = 1.0 + a / (beta - 1.0)
+    poly = 0.0
+    for alpha in reversed(_ALPHA):
+        poly = poly * rho + alpha
+    kappa = (16 * _LEGENDRE_ORDER + 64 + 2 * (_LEGENDRE_ORDER + 1) * beta) * _MACHEP
+    return kappa * zb0 * poly / s0 + math.ldexp(zb0 / s0, -1000) + 256.0 * math.ulp(0.0)
 
 
-def _tail_rounding(beta: float, n_centers: int) -> float:
-    """The rounding term of ``_powerlaw_tail_series``, one scalar for every
-    valid point: 128 u (u = 2^-53) of sqrt(2) zeta(beta, N + 1), which bounds
-    the series' absolute sum, plus 256 subnormal units."""
-    return 128.0 * _MACHEP * math.sqrt(2.0) * _zeta_value(beta, n_centers + 1) \
-        + 256.0 * math.ulp(0.0)
+def _legendre_bound(beta: float, n_centers: int, r: float) -> float:
+    """The error bound of ``_legendre_tail`` at points of radius at most r,
+    inf where the series does not converge: its remainder plus
+    ``_legendre_rounding``.
 
-
-def _powerlaw_tail_bound(beta: float, n_centers: int, t, q) -> float:
-    """The error bound of ``_powerlaw_tail_series`` without its estimate
-    (inf where the series is not valid): the truncation remainder plus
-    ``_tail_rounding``."""
-    s0 = float(n_centers + 1) ** beta
-    u1 = 2.0 * np.abs(t) + q / s0
-    u1max = float(u1.max()) if u1.size else 0.0
-    if u1max > 0.5 * s0:
-        return math.inf
-    return 2.0 * u1max ** (_TAIL_ORDER + 1) * _zeta_value(
-        (_TAIL_ORDER + 2) * beta, n_centers + 1) + _tail_rounding(beta, n_centers)
-
-
-def _powerlaw_tail_series(beta: float, n_centers: int, t, q):
-    """(estimate, error bound) for sum_{n>N} 1/sqrt((t+n^beta)^2 + c^2),
-    q = t^2 + c^2, vectorized over points.
-
-    Expands s^-1 (1+u)^(-1/2), u = (2t + q/s)/s, s = n^beta, into Hurwitz
-    zeta values; |u| <= (2|t| + q/s0)/s <= 1/2 makes the dropped binomial
-    tail at most 2 |u|^(order+1), summed to 2 u1^(order+1) zeta(beta(order+2)).
-    The estimate is a polynomial in t of degree at most 2 order: the cached
-    ``_tail_matrix`` C evaluated by Horner's rule in x = 2t for all the rows
-    q^i at once, then in q, in blocks of points.  Each point's value does
-    not depend on the blocking.  At |u| <= 1/2 the absolute series,
-    sum_ij |C_ij| |x|^j q^i, is at most sqrt(2) zeta(beta, N + 1), and the
-    rounding of both Horner passes (2 x 16 steps, Higham, Accuracy and
-    Stability of Numerical Algorithms, 5.1), of zeta (8 ulps) and of q (4u,
-    raised to the 8th power) stays below 128 u of it: ``_tail_rounding``.
+    With rho = r/s0, |P_l| <= 1 and Z_l decreasing in l, the terms past L
+    add up to at most Z_{L+1} rho^(L+1) / ((1 - rho) s0), and Z_{L+1} <=
+    1 + (N + 1)/((L + 2) beta - 1).  rho carries 16 u more than r/s0, for
+    the rounding of r, y and w.  The bound grows with r, and the slack of
+    these closed forms covers its own rounding.  Where s0 overflows, the
+    whole tail is below Zb_0 2^-1023.
     """
+    a = float(n_centers + 1)
+    s0 = a ** beta
+    if s0 == math.inf:      # then rho < 1/2 where r <= 2^1023, and 1/s0 < 2^-1024
+        return math.ldexp(1.0 + a / (beta - 1.0), -1023) if r <= 2.0 ** 1023 else math.inf
+    rho = r / s0 * (1.0 + 16.0 * _MACHEP)
+    if not rho < 1.0:
+        return math.inf
+    top = _LEGENDRE_ORDER + 1
+    rem = (1.0 + a / ((top + 1) * beta - 1.0)) * rho ** top / (1.0 - rho)
+    return rem / s0 + _legendre_rounding(beta, n_centers, rho)
+
+
+def _max_radius(t, z) -> float:
+    """The largest radius |(t, z)| of the points, to within a few ulps
+    (``_legendre_bound`` allows for them): from the largest t^2 + |z|^2,
+    or by hypot where that square may have overflowed or underflowed."""
+    if isinstance(t, float) and isinstance(z, (float, complex)):
+        return math.hypot(t, abs(z))
+    t, c = np.asarray(t, dtype=float), np.abs(z)
+    if not (t.size and c.size):
+        return 0.0
+    r2 = t * t
+    if r2.shape == c.shape:         # in place, for large batches
+        c *= c
+        r2 += c
+    else:
+        r2 = r2 + c * c
+    r2 = float(r2.max())
+    if 1e-300 < r2 < 1e300:
+        return math.sqrt(r2)
+    return float(np.max(np.hypot(t, np.abs(z))))
+
+
+def _legendre_tail(beta: float, n_centers: int, t, z):
+    """(estimates, error bound) for sum_{n>N} 1/|zeta + n^beta i| at the
+    points zeta = (t, z), vectorized; one bound, ``_legendre_bound`` at
+    their largest radius, covers every point (inf, with zero estimates,
+    where the series is not valid).
+
+    The axisymmetric multipole expansion 1/|zeta + s i| = sum_l (-1)^l
+    r^l P_l(t/r) / s^(l+1), r = |zeta|, summed over s = n^beta, n > N,
+    gives sum_l (-1)^l Z_l rho^l P_l(t/r) / s0 with the scaled coefficients
+    Z_l of ``_legendre_coeffs``.  In y = -t/s0 and w = y^2 + (|z|/s0)^2
+    the term (-1)^l rho^l P_l(t/r) is R_l, R_0 = 1, R_1 = y,
+    (l+1) R_{l+1} = (2l+1) y R_l - l w R_{l-1}.  One point runs on floats;
+    arrays run in blocks of _BLOCK / (L + 1) points, the rows R_l of a
+    block in one array, each step one product and one np.dot.
+    """
+    s0 = float(n_centers + 1) ** beta
+    if np.ndim(t) == 0 and np.ndim(z) == 0:
+        t, c = float(t), float(abs(z))
+        err = _legendre_bound(beta, n_centers, _max_radius(t, c))
+        if err == math.inf:
+            return np.float64(0.0), math.inf
+        y = t / -s0
+        v = c / s0
+        return np.float64(_legendre_sum(_legendre_coeffs(beta, n_centers)[0], y,
+                                        y * y + v * v) / s0), err
     t = np.asarray(t, dtype=float)
-    q = np.asarray(q, dtype=float)
-    order = _TAIL_ORDER
-    err = _powerlaw_tail_bound(beta, n_centers, t, q)
+    err = _legendre_bound(beta, n_centers, _max_radius(t, z))
+    z = np.asarray(z)
+    if t.shape != z.shape:
+        t, z = np.broadcast_arrays(t, z)
     if err == math.inf:
-        return None, math.inf
-    c = _tail_matrix(hurwitz_zeta, beta, n_centers)
-    if t.size == 1:
-        return np.full(t.shape, _horner(c, 2.0 * float(t.flat[0]), float(q.flat[0]))), err
-    tv, qv = t.reshape(-1), q.reshape(-1)
-    est = np.empty(tv.shape)
-    step = _BLOCK // (order + 1)
-    for a in range(0, tv.size, step):
-        est[a:a + step] = _horner(c, 2.0 * tv[a:a + step], qv[a:a + step])
+        return np.zeros(t.shape), math.inf
+    tv, zv = t.ravel(), z.ravel()
+    za = _legendre_coeffs(beta, n_centers)[1]
+    step = _BLOCK // (_LEGENDRE_ORDER + 1)
+    rows = np.empty((_LEGENDRE_ORDER + 1, min(step, tv.size)))
+    yw = np.empty((2, rows.shape[1]))
+    p = np.empty_like(yw)
+    est = np.empty(tv.size)
+    for lo in range(0, tv.size, step):
+        m = min(step, tv.size - lo)
+        blk, ywb, pb = rows[:, :m], yw[:, :m], p[:, :m]
+        blk[0] = 1.0
+        np.divide(tv[lo:lo + m], -s0, out=blk[1])          # y
+        np.abs(zv[lo:lo + m], out=pb[0])
+        pb[0] /= s0
+        np.multiply(pb[0], pb[0], out=ywb[0])
+        np.multiply(blk[1], blk[1], out=pb[1])
+        ywb[0] += pb[1]                                    # w
+        ywb[1] = blk[1]
+        for l, coeff in enumerate(_STEP_ROWS, start=1):
+            np.multiply(blk[l - 1:l + 1], ywb, out=pb)     # w R_{l-1}, y R_l
+            np.dot(coeff, pb, out=blk[l + 1])
+        np.dot(za, blk, out=est[lo:lo + m])
+    est /= s0
     return est.reshape(t.shape), err
 
 
-_LOG_ORDER = _TAIL_ORDER + 1      # odd: every remainder below has m = order + 1
+def _legendre_sum(z, y: float, w: float) -> float:
+    """sum_l z_l R_l(y, w) for one point, on floats."""
+    r0, r1 = 1.0, y
+    est = z[0] + z[1] * y
+    for (a, b), zl in zip(_STEPS, z[2:]):
+        r0, r1 = r1, a * (y * r1) - b * (w * r0)
+        est += zl * r1
+    return est
+
+
+_LOG_ORDER = 9      # odd: every remainder below has m = order + 1
 # The terms coeff t^j (c^2)^k zeta(m beta, N + 1) of _powerlaw_log_tail as
 # (coeff, j, k, m), m <= order: log(1 + x), then a_k w^k, a_k = -binom(-1/2, k)/(2k)
 _LOG_TERMS = tuple(
@@ -579,16 +685,10 @@ class PowerLawFamily(_AxialDecreasingFamily):
         return base / (1.0 - r / s0)
 
     def phi_tail(self, n_centers, t, z):
-        t = np.asarray(t, dtype=float)
-        q = t * t + np.abs(z) ** 2
-        est, err = _powerlaw_tail_series(self.beta, n_centers, t, q)
-        if est is None:
-            return np.zeros_like(q), math.inf
-        return est, err
+        return _legendre_tail(self.beta, n_centers, t, z)
 
     def phi_tail_bound(self, n_centers, t, z):
-        t = np.asarray(t, dtype=float)
-        return _powerlaw_tail_bound(self.beta, n_centers, t, t * t + np.abs(z) ** 2)
+        return _legendre_bound(self.beta, n_centers, _max_radius(t, z))
 
     def log_tail(self, n_centers, t, z):
         return _powerlaw_log_tail(self.beta, n_centers, float(t), abs(z) ** 2)
@@ -825,8 +925,8 @@ class Configuration:
     ``truncation`` is the initial number of enumerated centers; adaptive
     operations may extend enumeration up to ``max_truncation`` before
     raising TailUnresolved.  Growth batches are the exception: they start
-    at one center and choose N per radius octave, often below
-    ``truncation``.
+    at one center and choose, per radius octave, the least N whose tail
+    bound meets their tolerance, often below ``truncation``.
     """
 
     family: CenterFamily

@@ -10,8 +10,9 @@ the integrand of ``flow_log_g``, ``radial_distance``, the growth batches
 profile: it doubles N through ``_grow`` until the caller's bound meets its
 tolerance, raising TailUnresolved once N reaches max_truncation.  It
 starts at the configuration's enumerated count, except in growth batches:
-``_phi_batch`` starts at one center and picks N per radius octave of its
-points, from the nearest octave outward, under the batch's one tolerance.
+``_phi_batch`` starts at one center and picks, per radius octave of its
+points and from the nearest octave outward, the least N that meets the
+batch's one tolerance (doubling, then bisection).
 Flow quantities come in two deliberately independent routes:
 ``flow_log_g`` integrates Phi along a vertical segment on Gauss-Legendre
 panels (``quad``) sized by a Bernstein-ellipse error bound, while
@@ -136,13 +137,14 @@ def _potential_sum(config: Configuration, n: int, t, z, centers=None,
     z = np.asarray(z)
     tv, zv = t.reshape(-1), z.reshape(-1)
     axial = not lc.any()
-    if axial:
-        c = np.abs(zv)
-        c2 = c * c
     clamped = None
-    if floor is not None:
-        clamped = (np.flatnonzero(c < 2e-9 * (1.0 + floor)) if axial
-                   else np.arange(tv.size))
+    if axial:
+        c2 = np.abs(zv)
+        if floor is not None:
+            clamped = np.flatnonzero(c2 < 2e-9 * (1.0 + floor))
+        c2 *= c2
+    elif floor is not None:
+        clamped = np.arange(tv.size)
     out = np.empty(tv.shape)
     rows = max(1, _BLOCK // max(lr.size, 1))
     buf = np.empty(min(rows, tv.size) * lr.size)
@@ -164,7 +166,8 @@ def _potential_sum(config: Configuration, n: int, t, z, centers=None,
         np.reciprocal(s, out=s)
         np.sum(s, axis=1, out=out[a:b])
     est, err = fam.phi_tail(n, t, z)
-    return out.reshape(t.shape) + est, err
+    out += np.ravel(est)
+    return out.reshape(t.shape), err
 
 
 def _tail_truncation(config: Configuration, t, z, tol: float, n=None):
@@ -462,6 +465,23 @@ def _axial_check(config: Configuration):
         raise ValueError("the growth experiment supports axial configurations only")
 
 
+def _least_truncation(config: Configuration, r: float, tol: float, n: int) -> int:
+    """The least N >= n whose quarter-normalized tail bound on the axis at
+    radius r is at most tol, for an n whose predecessor misses it: N
+    doubles from n until the bound meets tol, then bisection between the
+    last doubling that missed and the first that met it."""
+    hi, _ = _tail_truncation(config, r, 0.0, tol, n)
+    lo = max(hi // 2, n) if hi > n else hi      # misses tol, unless lo = hi
+    bound = config.family.phi_tail_bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid, r, 0.0) / 4.0 <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
                rel_tol: float = 1e-5) -> np.ndarray:
     """Vectorized potential for axial configurations at the 1-D arrays of
@@ -470,12 +490,15 @@ def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
     farthest point of the batch.
 
     The truncation is chosen per radius octave rmax 2^-(k+1) < r <=
-    rmax 2^-k (the last, k = 63, also holds every point below it), at the
-    octave's outer radius on the axis, from the nearest octave outward.
-    Every N is certified before any term is summed.  When the nearest
-    octave's N is also certified at rmax, it serves every octave and one
-    kernel call sums the points as given; otherwise each distinct N takes
-    one call on prefixes of one center array."""
+    rmax 2^-k (the last, k = 63, also holds every point below it): the
+    least N whose tail bound at the octave's outer radius on the axis meets
+    that accuracy (``_least_truncation``), from the nearest octave outward,
+    each starting from the previous octave's N.  The tail bounds depend on
+    the radius alone and grow with it, so that N serves every point of the
+    octave.  Every N is certified before any term is summed.  When the
+    nearest octave's N is also certified at rmax, it serves every octave
+    and one kernel call sums the points as given; otherwise each distinct
+    N takes one call on prefixes of one center array."""
     r = np.hypot(t, c)
     rmax = float(r.max())
     lr0 = abs(config.center(config.family.n_first)[0])
@@ -484,7 +507,7 @@ def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
     outer = np.ldexp(rmax, -np.arange(64))
     edges = outer[::-1]
     inner = 63 - int(np.searchsorted(edges, r.min()))
-    n_in, _ = _tail_truncation(config, outer[inner], 0.0, tol, config.family.clamp(1))
+    n_in = _least_truncation(config, outer[inner], tol, config.family.clamp(1))
     n, _ = _tail_truncation(config, rmax, 0.0, tol, n_in)
     if n == n_in:       # the nearest octave's N is certified out to rmax
         total, _ = _potential_sum(config, n, t, c, floor=r)
@@ -495,7 +518,7 @@ def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
     n_at = np.zeros(inner + 1, dtype=int)
     n = n_in
     for k in filled[::-1]:
-        n, _ = _tail_truncation(config, outer[k], 0.0, tol, n)
+        n = _least_truncation(config, outer[k], tol, n)
         n_at[k] = n
     n_pt = n_at[octave]
     lr, lc = config.family.center_arrays(n)

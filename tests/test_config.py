@@ -12,7 +12,7 @@ from ainfty import config
 from ainfty.config import (
     Finite, OMEGA_DOWN, config_digest, config_from_dict, config_to_dict,
     delta_set, fiber, finite_list, general_axial, hurwitz_zeta, power_law,
-    validate,
+    scaled_hurwitz_zeta, validate,
 )
 from ainfty.errors import TailUnresolved, UnknownOrderType
 from ainfty.geometry import ImHPoint
@@ -99,9 +99,29 @@ def test_hurwitz_zeta_matches_mpmath():
 def test_hurwitz_zeta_underflow_is_zero():
     # every term underflows; the C stopping tests see 0/0 there and never fire
     assert hurwitz_zeta(400.0, (1 << 21) + 1) == 0.0
-    # the tail bound of a steep power law evaluates zeta(600, 4097) = 0.0:
-    # its remainder vanishes and only the series' rounding term is left
-    assert power_law(60.0).family.phi_tail(1 << 12, 0.0, 0j)[1] == config._tail_rounding(60.0, 1 << 12)
+    # a steep power law at the origin, where zeta(m 60, 4097) underflows for
+    # m >= 2: the remainder of the tail series vanishes and only its rounding
+    # term is left, and the scaled coefficients keep the estimate zeta(60, 4097)
+    est, err = power_law(60.0).family.phi_tail(1 << 12, 0.0, 0j)
+    assert err == config._legendre_rounding(60.0, 1 << 12, 0.0)
+    with mpmath.workdps(30 + int(60 * math.log10(4097)) + 1):
+        oracle = mpmath.zeta(60, 4097)
+    assert est > 0.0 and abs(est - oracle) <= err
+
+
+def test_scaled_hurwitz_zeta_matches_mpmath():
+    # within the stated x + 16 ulps of q^x zeta(x, q), on the grid of the
+    # power-law tails, at random arguments, and where x log10(q) > 308, so
+    # that zeta(x, q) itself is 0.0 in floats (the oracle's precision covers
+    # the cancellation of mpmath.zeta at integer q, see above)
+    big = [(60.0, 1e6), (54.0, (1 << 21) + 1.0), (100.0, (1 << 21) + 1.0),
+           (250.0, 65.0), (17 * 7.3, 4097.0)]
+    args = [(s, a) for s, a in ZETA_GRID[::37] if s * math.log10(a) < 290]
+    for s, a in args + _random_zeta_args(13, 40) + big:
+        with mpmath.workdps(30 + int(s * math.log10(a)) + 1):
+            oracle = mpmath.zeta(s, a) * mpmath.mpf(a) ** s
+        assert abs(scaled_hurwitz_zeta(s, a) - oracle) <= (s + 16) * math.ulp(float(oracle)), (s, a)
+    assert all(hurwitz_zeta(s, a) == 0.0 for s, a in big[1:3])
 
 
 def test_tail_probe_bound_equals_full_tail_bound():
@@ -112,32 +132,42 @@ def test_tail_probe_bound_equals_full_tail_bound():
                 assert fam.phi_tail_bound(n, t, z) == fam.phi_tail(n, t, z)[1]
 
 
-def _tail_series_term_by_term(beta, n, t, q):
-    # the reference: one numpy operation per term, added in order
-    zv = {m: config._zeta_value(m * beta, n + 1) for m in range(1, 2 * config._TAIL_ORDER + 2)}
-    est = np.zeros_like(t)
-    for k in range(config._TAIL_ORDER + 1):
-        for i in range(k + 1):
-            coeff = config._binom_half(k) * math.comb(k, i)
-            est += coeff * (2.0 * t) ** (k - i) * q ** i * zv[k + i + 1]
-    return est
+def _legendre_terms(beta, n, t, c):
+    """sum_{l<=L} (-1)^l Z_l rho^l P_l(t/r) / s0, r = |(t, c)|, rho = r/s0,
+    at 40 digits, each P_l from mpmath.legendre, with the series' float
+    coefficients Z_l: the tail estimate without its rounding."""
+    zl, _ = config._legendre_coeffs(beta, n)
+    s0 = float(n + 1) ** beta
+    with mpmath.workdps(40):
+        t, c = mpmath.mpf(t), mpmath.mpf(c)
+        r = mpmath.sqrt(t * t + c * c)
+        if r == 0:
+            return zl[0] / mpmath.mpf(s0)
+        rho = r / s0
+        return mpmath.fsum((-1) ** l * z * rho ** l * mpmath.legendre(l, t / r)
+                           for l, z in enumerate(zl)) / s0
 
 
 def test_powerlaw_tail_series_matches_term_by_term(monkeypatch):
-    # Horner's rule rounds differently from the term-by-term sum, within the
-    # series' rounding term; a point's value does not depend on the blocks
+    # the recurrence against the explicit Legendre terms, within the series'
+    # rounding term: one point on floats, arrays in one block and in several
     rng = np.random.default_rng(5)
-    for beta, n, size in [(2.0, 1024, 26), (1.3, 64, 1), (3.0, 7, 4097), (2.5, 4096, 9000)]:
+    for beta, n, size, block in [(2.0, 1024, 1, None), (1.3, 64, 26, None), (3.0, 7, 23, 17 * 10),
+                                 (2.5, 4096, 9, None), (1.05, 1, 12, 17 * 5)]:
         s0 = float(n + 1) ** beta
-        t = rng.uniform(-0.2, 0.2, size) * s0
-        q = t * t + (rng.uniform(0.0, 0.2, size) * s0) ** 2
-        est, err = config._powerlaw_tail_series(beta, n, t, q)
-        assert err < math.inf
-        gap = np.abs(est - _tail_series_term_by_term(beta, n, t, q))
-        assert gap.max() <= config._tail_rounding(beta, n)
+        rho = rng.uniform(0.0, 0.95, size)
+        angle = rng.uniform(0.0, math.pi, size)
+        t, c = s0 * rho * np.cos(angle), s0 * rho * np.sin(angle)
         with monkeypatch.context() as m:
-            m.setattr(config, "_BLOCK", 9 * 1000)
-            assert np.array_equal(config._powerlaw_tail_series(beta, n, t, q)[0], est)
+            if block:
+                m.setattr(config, "_BLOCK", block)
+            est, err = power_law(beta).family.phi_tail(n, t[0] if size == 1 else t,
+                                                       c[0] if size == 1 else c)
+        assert err < math.inf
+        for e, ti, ci in zip(np.atleast_1d(est), t, c):
+            # the rounding term at the point's own rho, rounded up
+            rounding = config._legendre_rounding(beta, n, math.hypot(ti, ci) / s0 * (1 + 1e-15))
+            assert abs(e - _legendre_terms(beta, n, ti, ci)) <= rounding, (beta, n, ti, ci)
 
 
 def _phi_tail_oracle(beta, n, t, c):
@@ -165,16 +195,17 @@ def _phi_tail_oracle(beta, n, t, c):
 @given(st.floats(1.2, 3.0), st.sampled_from([64, 1024]), st.floats(-1.0, 1.0),
        st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
 @example(2.0, 64, 0.0, 0.0, 0.0).via("the estimate is zeta(2, 65): rounding only")
-@example(1.5, 1024, 0.0, 0.0, 0.5).via("rounding only, off the axis")
+@example(1.5, 1024, 0.0, 0.0, 1e-4).via("rounding only, off the axis")
+@example(1.5, 1024, 0.0, 0.0, 0.5).via("half the radius of convergence, off the axis")
 def test_powerlaw_tail_series_within_bound_of_oracle(beta, n, f0, f1, g):
     fam = power_law(beta).family
     s0 = float(n + 1) ** beta
-    # heights up to the validity limit 2|t| + (t^2 + c^2)/s0 = s0/2, and c
-    # (the same at both heights) up to it at the larger one
-    t_max = 0.999 * (math.sqrt(1.5 * s0 * s0) - s0)
+    # radii up to 0.99 s0, near where the series stops converging: heights
+    # up to it, and c (the same at both heights) up to it at the larger one
+    t_max = 0.99 * s0
     t0, t1 = f0 * t_max, f1 * t_max
     top = max(abs(t0), abs(t1))
-    c = 0.999 * g * math.sqrt(max(0.0, 0.5 * s0 * s0 - 2.0 * top * s0 - top * top))
+    c = g * math.sqrt(max(0.0, t_max * t_max - top * top))
     z = c * complex(0.6, 0.8)
     oracle = [_phi_tail_oracle(beta, n, t, c) for t in (t0, t1)]
     est, err = fam.phi_tail(n, [t0, t1], [z, z])
@@ -184,6 +215,17 @@ def test_powerlaw_tail_series_within_bound_of_oracle(beta, n, f0, f1, g):
     for t, o in zip((t0, t1), oracle):
         e, err = fam.phi_tail(n, t, z)
         assert abs(e - o) <= err, (t, e, o, err)
+
+
+def test_powerlaw_tail_bound_holds_where_zeta_underflows():
+    # zeta(m 5, 2^20 + 1) underflows for m >= 11: unscaled coefficients
+    # vanished there, and the bound of the binomial series was false
+    n = 1 << 20
+    s0 = float(n + 1) ** 5.0
+    z = 0.99 * s0 / math.sqrt(2.0) * complex(0.6, 0.8)
+    est, err = power_law(5.0).family.phi_tail(n, 0.0, z)
+    assert err < 1e-3 * est
+    assert abs(est - _phi_tail_oracle(5.0, n, 0.0, abs(z))) <= err
 
 
 def _log_tail_oracle(beta, n, t, c):

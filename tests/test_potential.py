@@ -146,9 +146,10 @@ def test_phi_batch_growth_points_match_oracle(beta, polar):
 def test_phi_batch_truncation_per_octave(monkeypatch):
     # one batch over 37 radius octaves: the origin, 36 points at the outer
     # edges r = rmax 2^-k of the octaves (on the axis at both signs and off
-    # it), out to the tail series' validity radius, and a point on a center
+    # it), out to the radius where the tail series at N = 64 stops
+    # converging, and a point on a center
     cfg = power_law(2.0, truncation=64)
-    rmax = 65 ** 2 / 4.5
+    rmax = 65.0 ** 2
     angles = [0.0, math.pi, math.pi / 3, 2 * math.pi / 3, math.pi / 2]
     polar = [(rmax * 2.0 ** -k, angles[k % 5]) for k in range(36)]
     t = np.array([0.0, -4.0] + [r * math.cos(a) for r, a in polar])
@@ -170,6 +171,41 @@ def test_phi_batch_truncation_per_octave(monkeypatch):
         r = math.hypot(ti, ci)
         oracle = _power_law_oracle(2.0, ti, ci, floor=1e-9 * (1.0 + r))
         assert abs(v - oracle) <= tol + potential._rounding_slop(v), (ti, ci)
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+def test_phi_batch_least_truncation_per_octave(beta, monkeypatch):
+    # 240 points over 20 radius octaves below 1e4, at random angles: each
+    # octave sums the least N whose tail bound at its outer radius meets the
+    # batch's tolerance, and every value is within that tolerance of a sum
+    # over 2^16 centers
+    cfg = power_law(beta, truncation=64)
+    rng = np.random.default_rng(17)
+    r = 1e4 * 2.0 ** -rng.uniform(0.0, 20.0, 240)
+    angle = rng.uniform(0.0, math.pi, 240)
+    t, c = r * np.cos(angle), r * np.sin(angle)
+    calls = []
+    kernel = potential._potential_sum
+
+    def spy(config, n, t, z, *args, **kwargs):
+        calls.append((n, np.hypot(t, z)))
+        return kernel(config, n, t, z, *args, **kwargs)
+    monkeypatch.setattr(potential, "_potential_sum", spy)
+    vals = _phi_batch(cfg, t, c)
+    monkeypatch.undo()
+
+    rmax = float(np.hypot(t, c).max())
+    tol = 1e-5 / (4.0 * (rmax + 1.0 + 1.0))
+    bound = cfg.family.phi_tail_bound
+    assert len({n for n, _ in calls}) > 3
+    for n, radii in calls:
+        # octave k: rmax 2^-(k+1) < r <= rmax 2^-k
+        for k in set(np.floor(np.log2(rmax / radii)).astype(int).tolist()):
+            outer = math.ldexp(rmax, -k)
+            assert bound(n, outer, 0.0) / 4.0 <= tol
+            assert n == 1 or bound(n - 1, outer, 0.0) / 4.0 > tol
+    ref, _ = potential._potential_sum(cfg, 1 << 16, t, c, floor=np.hypot(t, c))
+    assert np.all(np.abs(vals - ref / 4.0) <= tol + potential._rounding_slop(vals))
 
 
 def _kernel_rows(config, n, t, z, floor=None):
