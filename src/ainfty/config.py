@@ -17,10 +17,11 @@ from which coarse potential / log-product / flow tails derive.  The power
 law family lambda_n = n^beta i overrides these with sharp series whose
 remainders and rounding are certified: the potential tail is the
 axisymmetric multipole (Legendre) series of order _LEGENDRE_ORDER, whose
-coefficients come from ``scaled_hurwitz_zeta`` and which converges while
-the radius stays below (N + 1)^beta, and the log product and flow tails are
-Hurwitz zeta series of order _LOG_ORDER.  The coarse 1/N bounds alone
-cannot certify tolerances near 1e-10 at sane truncations.
+coefficients are scaled ``hurwitz_zeta`` values that do not underflow and
+which converges while the radius stays below (N + 1)^beta, and the log
+product and flow tails are Hurwitz zeta series of order _LOG_ORDER.  The
+coarse 1/N bounds alone cannot certify tolerances near 1e-10 at sane
+truncations.
 
 Combinatorial identity (fiber membership, base-point matching, divisor
 supports) uses exact float equality; tolerances appear only in numerical
@@ -54,38 +55,33 @@ _EM_COEFFS = (
 _MACHEP = 1.11022302462515654042e-16     # 2^-53
 
 
-def hurwitz_zeta(x: float, q: float) -> float:
-    """The Hurwitz zeta function sum_{k>=0} (k + q)^-x for x > 1, q > 0.
+def hurwitz_zeta(x: float, q: float, scaled: bool = False) -> float:
+    """The Hurwitz zeta function sum_{k>=0} (k + q)^-x for x > 1, q > 0,
+    or with ``scaled`` its multiple q^x zeta(x, q) = sum_{k>=0} (1 + k/q)^-x.
 
     A port of the Euler-Maclaurin summation of the Cephes ``zeta(x, q)``
     (the one scipy.special.zeta uses): the same loop, coefficients and
     stopping tests, so values agree bit for bit.  Where every term
     underflows the running sum is 0 and the stopping tests, 0/0 in C, never
     fire; they are skipped here the same way and the result is 0.0.
+
+    The scaled value runs the same summation with each term a^-x taken as
+    (a/q)^-x, within x + 16 ulps.  It is at least 1, so it does not
+    underflow where zeta(x, q) does.  Rounding a/q moves a term by a
+    relative x u (u = 2^-53); the power, the sums and the Euler-Maclaurin
+    steps add a few ulps.  It has no asymptotic branch for q > 1e8: there
+    the loop stops after nine terms and the corrections converge at once.
+    Both are one function, so that a replaced ``hurwitz_zeta`` (a tracer)
+    sees every zeta evaluation.
     """
     x, q = float(x), float(q)
     if not (x > 1.0 and q > 0.0):
         raise ValueError("hurwitz_zeta needs x > 1 and q > 0")
+    if scaled:
+        return _cephes_zeta(x, q, q)
     if q > 1e8:     # asymptotic expansion, DLMF 25.11.43
         return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
     return _cephes_zeta(x, q, 1.0)
-
-
-def scaled_hurwitz_zeta(x: float, q: float) -> float:
-    """q^x zeta(x, q) = sum_{k>=0} (1 + k/q)^-x for x > 1, q > 0, within
-    x + 16 ulps.
-
-    ``hurwitz_zeta``'s summation with each term a^-x taken as (a/q)^-x.
-    The value is at least 1, so it does not underflow where zeta(x, q)
-    does.  Rounding a/q moves a term by a relative x u (u = 2^-53); the
-    power, the sums and the Euler-Maclaurin steps add a few ulps.  There is
-    no asymptotic branch for q > 1e8: there the loop stops after nine terms
-    and the Euler-Maclaurin corrections converge at once.
-    """
-    x, q = float(x), float(q)
-    if not (x > 1.0 and q > 0.0):
-        raise ValueError("scaled_hurwitz_zeta needs x > 1 and q > 0")
-    return _cephes_zeta(x, q, q)
 
 
 def _cephes_zeta(x: float, q: float, scale: float) -> float:
@@ -141,9 +137,8 @@ _BLOCK = 1 << 17
 # Order L of the power-law potential tail: Legendre terms l = 0..L.
 _LEGENDRE_ORDER = 16
 # Steps l = 1..L-1 of (l+1) R_{l+1} = (2l+1) y R_l - l w R_{l-1}: the factors
-# ((2l+1)/(l+1), l/(l+1)), and as rows (-l/(l+1), (2l+1)/(l+1)) for np.dot
+# ((2l+1)/(l+1), l/(l+1))
 _STEPS = tuple(((2 * l + 1) / (l + 1), l / (l + 1)) for l in range(1, _LEGENDRE_ORDER))
-_STEP_ROWS = tuple(np.array([-b, a]) for a, b in _STEPS)
 
 
 def _majorants(order: int):
@@ -159,13 +154,12 @@ _ALPHA = _majorants(_LEGENDRE_ORDER)
 
 
 @functools.lru_cache(maxsize=256)
-def _legendre_coeffs(beta: float, n_centers: int):
+def _legendre_coeffs(fn, beta: float, n_centers: int):
     """Z_l = s0^(l+1) zeta((l+1) beta, N + 1) = sum_{n>N} (s0/n^beta)^(l+1),
-    s0 = (N + 1)^beta, for l <= _LEGENDRE_ORDER, from
-    ``scaled_hurwitz_zeta``: as a tuple of floats and as an array."""
-    z = tuple(scaled_hurwitz_zeta((l + 1) * beta, n_centers + 1)
-              for l in range(_LEGENDRE_ORDER + 1))
-    return z, np.array(z)
+    s0 = (N + 1)^beta, for l <= _LEGENDRE_ORDER, as a tuple of the scaled
+    values of the zeta function fn.  Keyed on fn, as ``_zeta_memo`` is."""
+    return tuple(fn((l + 1) * beta, n_centers + 1, scaled=True)
+                 for l in range(_LEGENDRE_ORDER + 1))
 
 
 def _legendre_rounding(beta: float, n_centers: int, rho: float) -> float:
@@ -177,7 +171,7 @@ def _legendre_rounding(beta: float, n_centers: int, rho: float) -> float:
     (1 + 4u)^l - 1 of alpha_l rho^l, where alpha_l = |P_l(i)| (``_ALPHA``)
     bounds |R_l| / rho^l for every point; the rounding of y and w moves it
     by 8 u per degree; Z_l is off by the (l + 1) beta + 16 ulps (2 u each)
-    of ``scaled_hurwitz_zeta`` and 2 u per power of s0; the sum and the
+    of the scaled ``hurwitz_zeta`` and 2 u per power of s0; the sum and the
     division add (L + 2) u.  With Z_l <= Zb_0 = 1 + (N + 1)/(beta - 1)
     (the first term plus the integral of the rest) all of it stays below
     kappa = 16 L + 64 + 2 (L + 1) beta units u of Zb_0 alpha_l rho^l / s0
@@ -249,9 +243,10 @@ def _legendre_tail(beta: float, n_centers: int, t, z):
     gives sum_l (-1)^l Z_l rho^l P_l(t/r) / s0 with the scaled coefficients
     Z_l of ``_legendre_coeffs``.  In y = -t/s0 and w = y^2 + (|z|/s0)^2
     the term (-1)^l rho^l P_l(t/r) is R_l, R_0 = 1, R_1 = y,
-    (l+1) R_{l+1} = (2l+1) y R_l - l w R_{l-1}.  One point runs on floats;
-    arrays run in blocks of _BLOCK / (L + 1) points, the rows R_l of a
-    block in one array, each step one product and one np.dot.
+    (l+1) R_{l+1} = (2l+1) y R_l - l w R_{l-1}, summed by ``_legendre_sum``:
+    on floats for one point, and on arrays in blocks of _BLOCK / 16 points
+    (a few arrays of a block stay in cache), with the same value at each
+    point as on floats, whatever the blocks.
     """
     s0 = float(n_centers + 1) ** beta
     if np.ndim(t) == 0 and np.ndim(z) == 0:
@@ -261,8 +256,8 @@ def _legendre_tail(beta: float, n_centers: int, t, z):
             return np.float64(0.0), math.inf
         y = t / -s0
         v = c / s0
-        return np.float64(_legendre_sum(_legendre_coeffs(beta, n_centers)[0], y,
-                                        y * y + v * v) / s0), err
+        return np.float64(_legendre_sum(_legendre_coeffs(hurwitz_zeta, beta, n_centers),
+                                        y, y * y + v * v) / s0), err
     t = np.asarray(t, dtype=float)
     err = _legendre_bound(beta, n_centers, _max_radius(t, z))
     z = np.asarray(z)
@@ -271,38 +266,36 @@ def _legendre_tail(beta: float, n_centers: int, t, z):
     if err == math.inf:
         return np.zeros(t.shape), math.inf
     tv, zv = t.ravel(), z.ravel()
-    za = _legendre_coeffs(beta, n_centers)[1]
-    step = _BLOCK // (_LEGENDRE_ORDER + 1)
-    rows = np.empty((_LEGENDRE_ORDER + 1, min(step, tv.size)))
-    yw = np.empty((2, rows.shape[1]))
-    p = np.empty_like(yw)
+    coeffs = _legendre_coeffs(hurwitz_zeta, beta, n_centers)
+    step = _BLOCK // 16
     est = np.empty(tv.size)
     for lo in range(0, tv.size, step):
-        m = min(step, tv.size - lo)
-        blk, ywb, pb = rows[:, :m], yw[:, :m], p[:, :m]
-        blk[0] = 1.0
-        np.divide(tv[lo:lo + m], -s0, out=blk[1])          # y
-        np.abs(zv[lo:lo + m], out=pb[0])
-        pb[0] /= s0
-        np.multiply(pb[0], pb[0], out=ywb[0])
-        np.multiply(blk[1], blk[1], out=pb[1])
-        ywb[0] += pb[1]                                    # w
-        ywb[1] = blk[1]
-        for l, coeff in enumerate(_STEP_ROWS, start=1):
-            np.multiply(blk[l - 1:l + 1], ywb, out=pb)     # w R_{l-1}, y R_l
-            np.dot(coeff, pb, out=blk[l + 1])
-        np.dot(za, blk, out=est[lo:lo + m])
+        y = tv[lo:lo + step] / -s0
+        v = np.abs(zv[lo:lo + step])
+        v /= s0
+        v *= v
+        w = y * y
+        w += v
+        est[lo:lo + step] = _legendre_sum(coeffs, y, w)
     est /= s0
     return est.reshape(t.shape), err
 
 
-def _legendre_sum(z, y: float, w: float) -> float:
-    """sum_l z_l R_l(y, w) for one point, on floats."""
-    r0, r1 = 1.0, y
-    est = z[0] + z[1] * y
+def _legendre_sum(z, y, w):
+    """sum_l z_l R_l(y, w): the same operations on floats or, elementwise
+    and in place (y and w are left as they are), on arrays."""
+    r0, r1 = 1.0, y * 1.0       # a copy of an array y: r0 is scaled in place
+    est = z[1] * y
+    est += z[0]
     for (a, b), zl in zip(_STEPS, z[2:]):
-        r0, r1 = r1, a * (y * r1) - b * (w * r0)
-        est += zl * r1
+        r = y * r1
+        r *= a
+        r0 *= w
+        r0 *= b
+        r -= r0                 # a (y R_l) - b (w R_{l-1})
+        r0, r1 = r1, r
+        r = zl * r1
+        est += r
     return est
 
 

@@ -12,7 +12,7 @@ from ainfty import config
 from ainfty.config import (
     Finite, OMEGA_DOWN, config_digest, config_from_dict, config_to_dict,
     delta_set, fiber, finite_list, general_axial, hurwitz_zeta, power_law,
-    scaled_hurwitz_zeta, validate,
+    validate,
 )
 from ainfty.errors import TailUnresolved, UnknownOrderType
 from ainfty.geometry import ImHPoint
@@ -120,7 +120,8 @@ def test_scaled_hurwitz_zeta_matches_mpmath():
     for s, a in args + _random_zeta_args(13, 40) + big:
         with mpmath.workdps(30 + int(s * math.log10(a)) + 1):
             oracle = mpmath.zeta(s, a) * mpmath.mpf(a) ** s
-        assert abs(scaled_hurwitz_zeta(s, a) - oracle) <= (s + 16) * math.ulp(float(oracle)), (s, a)
+        scaled = hurwitz_zeta(s, a, scaled=True)
+        assert abs(scaled - oracle) <= (s + 16) * math.ulp(float(oracle)), (s, a)
     assert all(hurwitz_zeta(s, a) == 0.0 for s, a in big[1:3])
 
 
@@ -136,7 +137,7 @@ def _legendre_terms(beta, n, t, c):
     """sum_{l<=L} (-1)^l Z_l rho^l P_l(t/r) / s0, r = |(t, c)|, rho = r/s0,
     at 40 digits, each P_l from mpmath.legendre, with the series' float
     coefficients Z_l: the tail estimate without its rounding."""
-    zl, _ = config._legendre_coeffs(beta, n)
+    zl = config._legendre_coeffs(hurwitz_zeta, beta, n)
     s0 = float(n + 1) ** beta
     with mpmath.workdps(40):
         t, c = mpmath.mpf(t), mpmath.mpf(c)
@@ -150,24 +151,26 @@ def _legendre_terms(beta, n, t, c):
 
 def test_powerlaw_tail_series_matches_term_by_term(monkeypatch):
     # the recurrence against the explicit Legendre terms, within the series'
-    # rounding term: one point on floats, arrays in one block and in several
+    # rounding term; a point's value does not depend on the blocks, and is
+    # the value of the same point alone, on floats
     rng = np.random.default_rng(5)
-    for beta, n, size, block in [(2.0, 1024, 1, None), (1.3, 64, 26, None), (3.0, 7, 23, 17 * 10),
-                                 (2.5, 4096, 9, None), (1.05, 1, 12, 17 * 5)]:
+    for beta, n, size in [(2.0, 1024, 26), (1.3, 64, 1), (3.0, 7, 3000), (2.5, 4096, 9),
+                          (1.05, 1, 12)]:
+        fam = power_law(beta).family
         s0 = float(n + 1) ** beta
         rho = rng.uniform(0.0, 0.95, size)
         angle = rng.uniform(0.0, math.pi, size)
         t, c = s0 * rho * np.cos(angle), s0 * rho * np.sin(angle)
-        with monkeypatch.context() as m:
-            if block:
-                m.setattr(config, "_BLOCK", block)
-            est, err = power_law(beta).family.phi_tail(n, t[0] if size == 1 else t,
-                                                       c[0] if size == 1 else c)
+        est, err = fam.phi_tail(n, t, c)
         assert err < math.inf
-        for e, ti, ci in zip(np.atleast_1d(est), t, c):
+        for e, ti, ci in zip(est[:30], t, c):
             # the rounding term at the point's own rho, rounded up
             rounding = config._legendre_rounding(beta, n, math.hypot(ti, ci) / s0 * (1 + 1e-15))
             assert abs(e - _legendre_terms(beta, n, ti, ci)) <= rounding, (beta, n, ti, ci)
+        assert all(fam.phi_tail(n, ti, ci)[0] == e for e, ti, ci in zip(est, t, c))
+        with monkeypatch.context() as m:
+            m.setattr(config, "_BLOCK", 16 * 7)
+            assert np.array_equal(fam.phi_tail(n, t, c)[0], est)
 
 
 def _phi_tail_oracle(beta, n, t, c):
