@@ -9,10 +9,11 @@ the integrand of ``flow_log_g``, ``radial_distance``, the growth batches
 ``_refine``, picks N for every certified quantity here and in the chart
 profile: it doubles N through ``_grow`` until the caller's bound meets its
 tolerance, raising TailUnresolved once N reaches max_truncation.  It
-starts at the configuration's enumerated count, except in growth batches:
-``_phi_batch`` starts at one center and picks, per radius octave of its
-points and from the nearest octave outward, the least N that meets the
-batch's one tolerance (doubling, then bisection).
+starts at the configuration's enumerated count, except in growth batches
+(``_phi_batch`` and the boundary tables): ``_octave_truncation`` starts at
+one center and picks, per radius octave of the points and from the
+nearest octave outward, the least N that meets the batch's one tolerance
+(doubling, then bisection).
 Flow quantities come in two deliberately independent routes:
 ``flow_log_g`` integrates Phi along a vertical segment on Gauss-Legendre
 panels (``quad``) sized by a Bernstein-ellipse error bound, while
@@ -61,6 +62,12 @@ _GL_WEIGHT_ERR = 1e-14
 # singularity of the integrand (see _bernstein_bound).
 _THETA = 0.9
 _MAX_PANELS = 1 << 14
+# Relative accuracy of the potential in growth batches (see _octave_truncation)
+_BATCH_REL_TOL = 1e-5
+# Terms (points x N) summed per column block of the boundary tables' sweep,
+# each node counted as at least _NODE_TERMS
+_SWEEP_TERMS = 1 << 20
+_NODE_TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -482,10 +489,11 @@ def _least_truncation(config: Configuration, r: float, tol: float, n: int) -> in
     return hi
 
 
-def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
-               rel_tol: float = 1e-5) -> np.ndarray:
-    """Vectorized potential for axial configurations at the 1-D arrays of
-    points (t, c), c = |z| >= 0.  Accuracy: absolute error at most
+def _octave_truncation(config: Configuration, r: np.ndarray, rel_tol: float):
+    """The certified truncation of every point of a growth batch at the
+    radii r (an array of any shape), as (n_at, octave): a point sums the
+    first n_at[octave] centers.  When one N serves every point, n_at holds
+    that N alone and octave is None.  Accuracy: absolute error at most
     rel_tol / (4 (rmax + |lambda_first| + 1)), a relative rel_tol at the
     farthest point of the batch.
 
@@ -496,10 +504,7 @@ def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
     each starting from the previous octave's N.  The tail bounds depend on
     the radius alone and grow with it, so that N serves every point of the
     octave.  Every N is certified before any term is summed.  When the
-    nearest octave's N is also certified at rmax, it serves every octave
-    and one kernel call sums the points as given; otherwise each distinct
-    N takes one call on prefixes of one center array."""
-    r = np.hypot(t, c)
+    nearest octave's N is also certified at rmax, it serves every octave."""
     rmax = float(r.max())
     lr0 = abs(config.center(config.family.n_first)[0])
     scale = 1.0 / (4.0 * (rmax + lr0 + 1.0))   # lower bound for Phi at rmax
@@ -510,20 +515,35 @@ def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
     n_in = _least_truncation(config, outer[inner], tol, config.family.clamp(1))
     n, _ = _tail_truncation(config, rmax, 0.0, tol, n_in)
     if n == n_in:       # the nearest octave's N is certified out to rmax
-        total, _ = _potential_sum(config, n, t, c, floor=r)
-        return total / 4.0
+        return np.array([n]), None
 
-    octave = 63 - np.searchsorted(edges, r)   # exact: r <= outer[octave]
-    filled = np.flatnonzero(np.bincount(octave))
+    octave = np.searchsorted(edges, r)
+    np.subtract(63, octave, out=octave)     # exact: r <= outer[octave]
+    filled = np.flatnonzero(np.bincount(octave.ravel()))
     n_at = np.zeros(inner + 1, dtype=int)
     n = n_in
     for k in filled[::-1]:
         n = _least_truncation(config, outer[k], tol, n)
         n_at[k] = n
+    return n_at, octave
+
+
+def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
+               rel_tol: float = _BATCH_REL_TOL) -> np.ndarray:
+    """Vectorized potential for axial configurations at the 1-D arrays of
+    points (t, c), c = |z| >= 0, each point summed at the truncation
+    ``_octave_truncation`` certifies for the batch: one kernel call on the
+    points as given when one N serves them all, otherwise one call per
+    distinct N on prefixes of one center array."""
+    r = np.hypot(t, c)
+    n_at, octave = _octave_truncation(config, r, rel_tol)
+    if octave is None:
+        total, _ = _potential_sum(config, int(n_at[0]), t, c, floor=r)
+        return total / 4.0
     n_pt = n_at[octave]
-    lr, lc = config.family.center_arrays(n)
+    lr, lc = config.family.center_arrays(int(n_at[0]))    # octave 0 holds rmax
     total = np.empty_like(r)
-    for m in np.unique(n_at[filled]).tolist():
+    for m in np.unique(n_at[n_at > 0]).tolist():
         idx = np.flatnonzero(n_pt == m)
         total[idx], _ = _potential_sum(config, m, t[idx], c[idx], (lr[:m], lc[:m]),
                                        floor=r[idx])
@@ -547,7 +567,26 @@ class GrowthFit:
 
 def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int):
     """R(x, rho) for x = cos(polar angle): invert cumulative sqrt(Phi) ray
-    integrals computed on a shared sigma grid (s = sigma^2)."""
+    integrals computed on a shared sigma grid (s = sigma^2).
+
+    The rays are summed from the inside out, and each stops at its first
+    node whose trapezoid cumulative reaches the largest rho, the last node
+    ``np.interp`` reads; the potential past it is never summed.  The rays
+    still short go out together, in blocks of columns of about
+    _SWEEP_TERMS terms (points x N), so the cheap inner octaves take few
+    kernel calls and the costly outer ones stop within a few columns of
+    each ray's crossing.  When one N serves the whole grid, one kernel call
+    sums all of it.
+
+    The tables equal, bit for bit, those interpolated from the potential at
+    every node: every point keeps the truncation ``_octave_truncation``
+    certifies for the whole grid; a row's sum does not depend on the other
+    points of its kernel call; each call also carries, as an extra point,
+    the farthest radius of the whole grid's points at its N, for a tail
+    estimate that depends on the call's largest radius (the coarse
+    ``CenterFamily.phi_tail``); and the cumulative runs through each ray's
+    nodes in order, as one cumsum along it does.  Raises TailUnresolved
+    when a ray's cumulative falls short of the largest rho."""
     rho_max = rho_grid[-1]
     x_grid = np.linspace(-1.0, 1.0, n_psi + 2)[1:-1]   # strictly interior
 
@@ -574,20 +613,77 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
         sig_up * np.geomspace(1e-8, 1.0, n_radial),
     ]))
     s = sig * sig
+    dsig = np.diff(sig)
+    x = x_grid[:, None]
+    y = np.sqrt(1.0 - x * x)
+    r = np.hypot(x * s, y * s)
+    n_at, octave = _octave_truncation(config, r, _BATCH_REL_TOL)
+    if octave is None:      # one N serves the whole grid: one kernel call on it
+        g_all, _ = _potential_sum(config, int(n_at[0]), x * s, y * s, floor=r.ravel())
+    else:
+        n_vals = np.unique(n_at[n_at > 0])
+        reach = np.zeros(n_at.size)
+        np.maximum.at(reach, octave.ravel(), r.ravel())
+        far = [float(reach[n_at == m].max()) for m in n_vals]
+        # the work of the columns before each column: a node costs the
+        # largest N of its column, and at least _NODE_TERMS, so that blocks
+        # of cheap inner nodes stay small
+        before = np.concatenate([[0], np.cumsum(np.maximum(n_at[octave.min(axis=0)],
+                                                           _NODE_TERMS))])
+        lr, lc = config.family.center_arrays(int(n_vals[-1]))
 
-    tt = np.repeat(x_grid, sig.size) * np.tile(s, x_grid.size)
-    cc = np.repeat(np.sqrt(1.0 - x_grid * x_grid), sig.size) * np.tile(s, x_grid.size)
-    phi_vals = _phi_batch(config, tt, cc).reshape(x_grid.size, sig.size)
-    g = 2.0 * sig[None, :] * np.sqrt(phi_vals)
-    cum = np.concatenate([np.zeros((x_grid.size, 1)),
-                          np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * np.diff(sig), axis=1)],
-                         axis=1)
-    if cum[:, -1].min() < rho_max:
+    cum = np.empty(r.shape)
+    g_edge = np.empty(n_psi)                  # g at each live ray's last node
+    end = np.zeros(n_psi, dtype=int)          # nodes through the crossing
+    live = np.arange(n_psi)
+    j0 = 0
+    while live.size and j0 < sig.size:
+        rows = live if live.size < n_psi else slice(None)
+        if octave is None:
+            j1, g = sig.size, g_all
+        else:
+            budget = before[j0] + _SWEEP_TERMS / live.size
+            j1 = max(int(np.searchsorted(before, budget, side="right")) - 1, j0 + 1)
+            block = np.stack([x[rows] * s[j0:j1], y[rows] * s[j0:j1],
+                              r[rows, j0:j1]]).reshape(3, -1)
+            nb = n_at[octave[rows, j0:j1]].ravel()
+            g = np.empty(nb.shape)
+            for i in range(*np.searchsorted(n_vals, [nb.min(), nb.max() + 1])):
+                m = int(n_vals[i])
+                idx = np.flatnonzero(nb == m)
+                if not idx.size:
+                    continue
+                t, c, rr = np.concatenate([block[:, idx], [[0.0], [far[i]], [far[i]]]], axis=1)
+                total, _ = _potential_sum(config, m, t, c, (lr[:m], lc[:m]), floor=rr)
+                g[idx] = total[:-1]
+            g = g.reshape(-1, j1 - j0)
+        # g = 2 sigma sqrt(Phi), Phi a quarter of the kernel's sum, in place
+        g /= 4.0
+        np.sqrt(g, out=g)
+        g *= 2.0 * sig[j0:j1]
+        a = max(j0 - 1, 0)
+        g_pair = np.concatenate([g_edge[rows, None], g], axis=1) if j0 else g
+        # the trapezoid cumulative from node a on, carried exactly as one
+        # cumsum along the whole ray adds it
+        seg = np.empty((live.size, j1 - a))
+        seg[:, 0] = cum[rows, a] if j0 else 0.0
+        np.add(g_pair[:, 1:], g_pair[:, :-1], out=seg[:, 1:])
+        seg[:, 1:] *= 0.5
+        seg[:, 1:] *= dsig[a:j1 - 1]
+        np.cumsum(seg, axis=1, out=seg)
+        cum[rows, a:j1] = seg
+        g_edge[rows] = g[:, -1]
+        hit = seg >= rho_max
+        crossed = hit.any(axis=1)
+        end[live[crossed]] = a + hit[crossed].argmax(axis=1) + 1
+        live = live[~crossed]
+        j0 = j1
+    if live.size:
         raise TailUnresolved("boundary cumulative fell short; raise n_radial")
 
     tables = np.empty((len(rho_grid), x_grid.size))
     for i in range(x_grid.size):
-        tables[:, i] = np.interp(rho_grid, cum[i], sig) ** 2
+        tables[:, i] = np.interp(rho_grid, cum[i, :end[i]], sig[:end[i]]) ** 2
     return x_grid, tables
 
 
@@ -597,9 +693,22 @@ def growth_exponent(config: Configuration, rho_grid, mc_samples: int, seed: int,
     potential over the star-shaped region {radial_distance <= rho}.
 
     ``mc_samples`` is the total budget, split evenly across the rho grid;
-    stratum k draws from Philox(seed) jumped k times.
+    stratum k draws from Philox(seed) jumped k times.  The region's
+    boundary comes from ``_boundary_tables``, which sums each of the
+    ``n_psi`` rays of its ``n_radial``-based grid outward only until it
+    passes the largest rho; its tables, and so the fit, are the same bit
+    for bit as from the potential at every node of the grid.
+
+    Raises ValueError, before any work, for an ``mc_samples``, ``n_psi`` or
+    ``n_radial`` below 1, and InsufficientRange for a rho grid that is not
+    finite, has fewer than two positive values or spans less than a decade.
     """
+    for name, value in (("mc_samples", mc_samples), ("n_psi", n_psi), ("n_radial", n_radial)):
+        if not value >= 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     rho = np.unique(np.asarray([float(r) for r in rho_grid]))
+    if not np.isfinite(rho).all():
+        raise InsufficientRange("rho_grid must hold finite values only")
     if rho.size < 2 or rho[0] <= 0:
         raise InsufficientRange("need at least two positive rho values")
     if math.log10(rho[-1] / rho[0]) < 1.0:

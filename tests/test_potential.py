@@ -2,13 +2,14 @@
 
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ainfty.config import finite_list, power_law
+from ainfty.config import axial_monotone, finite_list, power_law
 from ainfty import potential
 from ainfty.errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
                            SegmentHitsCenter, SingularPoint, TailUnresolved)
@@ -547,3 +548,111 @@ def test_growth_single_center_smoke():
     assert abs(fit.slope - 4.0) <= 0.1
     fit2 = growth_exponent(SINGLE, rho, 20_000, seed=7, n_psi=48, n_radial=256)
     assert fit2 == fit     # bit-reproducible for a fixed seed
+
+
+@pytest.mark.parametrize("kwargs, error, name", [
+    ({"rho_grid": [1e2, math.nan, 1e4]}, InsufficientRange, "rho_grid"),
+    ({"rho_grid": [1e2, 1e3, math.inf]}, InsufficientRange, "rho_grid"),
+    ({"n_psi": 0}, ValueError, "n_psi"),
+    ({"n_radial": 0}, ValueError, "n_radial"),
+    ({"mc_samples": 0}, ValueError, "mc_samples"),
+], ids=["nan_rho", "inf_rho", "n_psi", "n_radial", "mc_samples"])
+def test_growth_rejects_invalid_arguments(kwargs, error, name, monkeypatch):
+    # each is rejected by name before any work, with no numpy warning
+    def no_work(*args):
+        raise AssertionError("boundary tables computed")
+    monkeypatch.setattr(potential, "_boundary_tables", no_work)
+    args = {"rho_grid": np.geomspace(1e2, 1e4, 9), "mc_samples": 1000, "seed": 1}
+    args.update(kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=name):
+            growth_exponent(SINGLE, **args)
+
+
+def _full_grid_tables(config, rho_grid, n_psi, n_radial):
+    """The reference for ``_boundary_tables``: its probe and sigma grid,
+    ``_phi_batch`` at every node of every ray, one cumsum along each ray
+    and an interpolation of the whole ray."""
+    rho_max = rho_grid[-1]
+    x_grid = np.linspace(-1.0, 1.0, n_psi + 2)[1:-1]
+    r_up = 4.0 * (1.0 + rho_max)
+    while True:
+        short = False
+        for x in (x_grid[-1], 0.0, x_grid[0]):
+            sig = np.sqrt(r_up) * np.linspace(0.0, 1.0, 512)
+            s = sig * sig
+            g = 2.0 * sig * np.sqrt(_phi_batch(config, s * x, s * math.sqrt(1.0 - x * x),
+                                               rel_tol=1e-3))
+            short |= bool(np.trapezoid(g, sig) < 1.2 * rho_max)
+        if not short:
+            break
+        r_up *= 4.0
+    sig_up = math.sqrt(r_up)
+    sig = np.unique(np.concatenate([np.linspace(0.0, sig_up, n_radial // 3),
+                                    sig_up * np.geomspace(1e-8, 1.0, n_radial)]))
+    s = sig * sig
+    tt = np.repeat(x_grid, sig.size) * np.tile(s, x_grid.size)
+    cc = np.repeat(np.sqrt(1.0 - x_grid * x_grid), sig.size) * np.tile(s, x_grid.size)
+    g = 2.0 * sig[None, :] * np.sqrt(_phi_batch(config, tt, cc).reshape(x_grid.size, sig.size))
+    cum = np.concatenate([np.zeros((x_grid.size, 1)),
+                          np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * np.diff(sig), axis=1)],
+                         axis=1)
+    assert cum[:, -1].min() >= rho_max
+    tables = np.empty((len(rho_grid), x_grid.size))
+    for i in range(x_grid.size):
+        tables[:, i] = np.interp(rho_grid, cum[i], sig) ** 2
+    return x_grid, tables
+
+
+ACCEPTANCE_RHO = np.geomspace(1e2, 1e4, 9)
+# centers 1000 n^2 + n/2: its coarse tail estimate depends on the largest
+# radius of a kernel call, and its grid takes more than one N
+STEEP = axial_monotone(lambda n: 1000.0 * n * n + 0.5 * n, growth=(1000.0, 2.0, 1))
+
+
+@pytest.mark.parametrize("config, rho, n_psi, n_radial", [
+    (SINGLE, ACCEPTANCE_RHO, 16, 64),
+    (power_law(2.0), ACCEPTANCE_RHO, 16, 64),
+    (power_law(3.0), ACCEPTANCE_RHO, 16, 64),
+    (STEEP, np.geomspace(1.0, 10.0, 4), 12, 60),
+    (power_law(2.0), ACCEPTANCE_RHO, 320, 768),
+], ids=["single", "beta2", "beta3", "axial_monotone", "beta2_defaults"])
+def test_boundary_tables_equal_full_grid(config, rho, n_psi, n_radial):
+    x_grid, tables = potential._boundary_tables(config, rho, n_psi, n_radial)
+    x_ref, ref = _full_grid_tables(config, rho, n_psi, n_radial)
+    assert np.array_equal(x_grid, x_ref)
+    assert np.array_equal(tables, ref)
+
+
+def test_growth_fit_equal_with_full_grid_tables(monkeypatch):
+    args = (power_law(2.0), ACCEPTANCE_RHO, 20_000, 5)
+    fit = growth_exponent(*args, n_psi=48, n_radial=256)
+    monkeypatch.setattr(potential, "_boundary_tables", _full_grid_tables)
+    ref = growth_exponent(*args, n_psi=48, n_radial=256)
+    assert fit.samples == ref.samples
+    assert fit.slope == ref.slope and fit.slope_stderr == ref.slope_stderr
+
+
+def test_boundary_tables_skip_nodes_past_the_crossing(monkeypatch):
+    # points x N summed, probe included: the rays stop soon after they pass
+    # the largest rho, against every node of the full grid
+    terms = [0]
+    kernel = potential._potential_sum
+
+    def counting(config, n, t, *args, **kwargs):
+        terms[0] += np.size(t) * n
+        return kernel(config, n, t, *args, **kwargs)
+    monkeypatch.setattr(potential, "_potential_sum", counting)
+    cfg = power_law(2.0)
+    potential._boundary_tables(cfg, ACCEPTANCE_RHO, 320, 768)
+    swept, terms[0] = terms[0], 0
+    _full_grid_tables(cfg, ACCEPTANCE_RHO, 320, 768)
+    assert swept <= 0.6 * terms[0]
+
+
+@pytest.mark.parametrize("config", [SINGLE, power_law(2.0)], ids=["single", "beta2"])
+def test_boundary_cumulative_shortfall_raises(config):
+    # one node per ray: every cumulative stays at zero
+    with pytest.raises(TailUnresolved, match="boundary cumulative fell short"):
+        growth_exponent(config, ACCEPTANCE_RHO, 1000, 1, n_radial=1)
