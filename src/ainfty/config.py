@@ -13,9 +13,12 @@ Tail oracles.  Each family provides two primitives,
 * ``tail_inv_sum(N, r)`` -- a certified upper bound on
   sum_{n>N} 1/(|lambda_n| - r), finite only when min_tail_norm(N) > r,
 
-from which coarse potential / log-product / flow tails derive.  The power
-law family lambda_n = n^beta i overrides these with sharp series whose
-remainders and rounding are certified: the potential tail is the
+from which coarse potential / log-product / flow tails derive.  Every
+family's potential tail ``phi_tail`` is pointwise: a point's estimate
+depends on that point alone, and one bound, at the call's largest radius,
+covers every point, so a batch and its per-point calls agree bit for bit.
+The power law family lambda_n = n^beta i overrides these with sharp series
+whose remainders and rounding are certified: the potential tail is the
 axisymmetric multipole (Legendre) series of order _LEGENDRE_ORDER, whose
 coefficients are scaled ``hurwitz_zeta`` values that do not underflow and
 which converges while the radius stays below (N + 1)^beta, and the log
@@ -484,14 +487,17 @@ class CenterFamily:
 
     def phi_tail(self, n_centers: int, t, z):
         """(estimates, error bound) for sum_{n>N} 1/|zeta + lambda_n| at the
-        points zeta = (t, z), vectorized; one bound covers every point."""
+        points zeta = (t, z), vectorized.  With T(r) = tail_inv_sum(N, r), a
+        point's tail lies in [0, min(T(r), T(rmax))], r its radius and rmax
+        the largest; the midpoint is its estimate, T(rmax) / 2 the one bound."""
         r = np.hypot(t, np.abs(z))
         rmax = float(np.max(r))
         b = (self.tail_inv_sum(n_centers, rmax) / 2.0
              if self.min_tail_norm(n_centers) > rmax else math.inf)
-        if not math.isfinite(b):
-            return np.zeros_like(r), math.inf
-        return np.full_like(r, b), b
+        if not 0.0 < b < math.inf:      # no tail left, or none certified
+            return np.zeros_like(r), b if b == 0.0 else math.inf
+        est = np.array([self.tail_inv_sum(n_centers, ri) for ri in np.ravel(r).tolist()])
+        return np.minimum(est / 2.0, b).reshape(np.shape(r)), b
 
     def phi_tail_bound(self, n_centers: int, t, z) -> float:
         """The error bound of ``phi_tail``, for truncation probes."""

@@ -326,8 +326,8 @@ def flow_log_g(config: Configuration, z, from_t: float, to_t: float,
     lo, hi = min(from_t, to_t), max(from_t, to_t)
     _segment_clear(config, z, lo, hi)
     length = hi - lo
-    ends = np.array([lo, hi])
-    n, tail_err = _tail_truncation(config, ends, [z, z], eps / (4.0 * length))
+    # the segment's largest radius is at an end
+    n, tail_err = _tail_truncation(config, [lo, hi], [z, z], eps / (4.0 * length))
     centers = config.family.center_arrays(n)
     lr, c2 = centers[0], np.abs(z + centers[1]) ** 2
 
@@ -343,11 +343,8 @@ def flow_log_g(config: Configuration, z, from_t: float, to_t: float,
         return ok, sums, err + rel * np.abs(sums)
 
     def integrand(t):
-        # the endpoints ride along: a coarse tail estimate, taken at the
-        # largest radius of the points, is then the one tail_err bounds
-        t = np.concatenate([t, ends])
         total, _ = _potential_sum(config, n, t, np.full(t.shape, z), centers)
-        return total[:-2] / 4.0
+        return total / 4.0
 
     val, quad_err = quad(integrand, from_t, to_t, panels)
     bound = quad_err + length * tail_err + _rounding_slop(abs(val))
@@ -445,8 +442,8 @@ def radial_distance(config: Configuration, direction, R: float,
         raise RayHitsCenter(
             f"center {int(np.flatnonzero(on_ray)[0])} lies on the ray; perturb the direction")
 
-    far_z = complex(R * d[1], R * d[2])
-    n, _ = _tail_truncation(config, [R * d[0], 0.5 * R * d[0]], [far_z, 0.5 * far_z],
+    # the bound at the far end covers every node of the ray
+    n, _ = _tail_truncation(config, R * d[0], complex(R * d[1], R * d[2]),
                             rel_tol / (4.0 * (R + 1.0)))
     centers = fam.center_arrays(n)
     dz = complex(d[1], d[2])
@@ -528,26 +525,33 @@ def _octave_truncation(config: Configuration, r: np.ndarray, rel_tol: float):
     return n_at, octave
 
 
+def _octave_sums(config: Configuration, n_at, octave, t, c, r, centers=None):
+    """The kernel's sums at the axial points (t, c), c = |z| >= 0, of radii
+    r (arrays of one shape), each point at its truncation from
+    ``_octave_truncation`` (n_at, octave): one kernel call on all of them
+    when one N serves every point, otherwise one call per distinct N of
+    their octaves, on prefixes of ``centers`` (default the first n_at[0]
+    centers; octave 0 holds rmax)."""
+    if octave is None:
+        return _potential_sum(config, int(n_at[0]), t, c, floor=r.ravel())[0]
+    lr, lc = config.family.center_arrays(int(n_at[0])) if centers is None else centers
+    octave, t, c, rv = octave.ravel(), t.ravel(), c.ravel(), r.ravel()
+    n_pt = n_at[octave]
+    total = np.empty(rv.shape)
+    for m in np.unique(n_at[np.flatnonzero(np.bincount(octave))]).tolist():
+        idx = np.flatnonzero(n_pt == m)
+        total[idx], _ = _potential_sum(config, m, t[idx], c[idx], (lr[:m], lc[:m]),
+                                       floor=rv[idx])
+    return total.reshape(r.shape)
+
+
 def _phi_batch(config: Configuration, t: np.ndarray, c: np.ndarray,
                rel_tol: float = _BATCH_REL_TOL) -> np.ndarray:
     """Vectorized potential for axial configurations at the 1-D arrays of
     points (t, c), c = |z| >= 0, each point summed at the truncation
-    ``_octave_truncation`` certifies for the batch: one kernel call on the
-    points as given when one N serves them all, otherwise one call per
-    distinct N on prefixes of one center array."""
+    ``_octave_truncation`` certifies for the batch (``_octave_sums``)."""
     r = np.hypot(t, c)
-    n_at, octave = _octave_truncation(config, r, rel_tol)
-    if octave is None:
-        total, _ = _potential_sum(config, int(n_at[0]), t, c, floor=r)
-        return total / 4.0
-    n_pt = n_at[octave]
-    lr, lc = config.family.center_arrays(int(n_at[0]))    # octave 0 holds rmax
-    total = np.empty_like(r)
-    for m in np.unique(n_at[n_at > 0]).tolist():
-        idx = np.flatnonzero(n_pt == m)
-        total[idx], _ = _potential_sum(config, m, t[idx], c[idx], (lr[:m], lc[:m]),
-                                       floor=r[idx])
-    return total / 4.0
+    return _octave_sums(config, *_octave_truncation(config, r, rel_tol), t, c, r) / 4.0
 
 
 @dataclass(frozen=True)
@@ -580,13 +584,10 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
 
     The tables equal, bit for bit, those interpolated from the potential at
     every node: every point keeps the truncation ``_octave_truncation``
-    certifies for the whole grid; a row's sum does not depend on the other
-    points of its kernel call; each call also carries, as an extra point,
-    the farthest radius of the whole grid's points at its N, for a tail
-    estimate that depends on the call's largest radius (the coarse
-    ``CenterFamily.phi_tail``); and the cumulative runs through each ray's
-    nodes in order, as one cumsum along it does.  Raises TailUnresolved
-    when a ray's cumulative falls short of the largest rho."""
+    certifies for the whole grid; neither a row's sum nor its tail estimate
+    depends on the other points of its kernel call; and the cumulative runs
+    through each ray's nodes in order, as one cumsum along it does.  Raises
+    TailUnresolved when a ray's cumulative falls short of the largest rho."""
     rho_max = rho_grid[-1]
     x_grid = np.linspace(-1.0, 1.0, n_psi + 2)[1:-1]   # strictly interior
 
@@ -619,18 +620,14 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
     r = np.hypot(x * s, y * s)
     n_at, octave = _octave_truncation(config, r, _BATCH_REL_TOL)
     if octave is None:      # one N serves the whole grid: one kernel call on it
-        g_all, _ = _potential_sum(config, int(n_at[0]), x * s, y * s, floor=r.ravel())
+        g_all = _octave_sums(config, n_at, None, x * s, y * s, r)
     else:
-        n_vals = np.unique(n_at[n_at > 0])
-        reach = np.zeros(n_at.size)
-        np.maximum.at(reach, octave.ravel(), r.ravel())
-        far = [float(reach[n_at == m].max()) for m in n_vals]
+        centers = config.family.center_arrays(int(n_at[0]))
         # the work of the columns before each column: a node costs the
         # largest N of its column, and at least _NODE_TERMS, so that blocks
         # of cheap inner nodes stay small
         before = np.concatenate([[0], np.cumsum(np.maximum(n_at[octave.min(axis=0)],
                                                            _NODE_TERMS))])
-        lr, lc = config.family.center_arrays(int(n_vals[-1]))
 
     cum = np.empty(r.shape)
     g_edge = np.empty(n_psi)                  # g at each live ray's last node
@@ -644,19 +641,8 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
         else:
             budget = before[j0] + _SWEEP_TERMS / live.size
             j1 = max(int(np.searchsorted(before, budget, side="right")) - 1, j0 + 1)
-            block = np.stack([x[rows] * s[j0:j1], y[rows] * s[j0:j1],
-                              r[rows, j0:j1]]).reshape(3, -1)
-            nb = n_at[octave[rows, j0:j1]].ravel()
-            g = np.empty(nb.shape)
-            for i in range(*np.searchsorted(n_vals, [nb.min(), nb.max() + 1])):
-                m = int(n_vals[i])
-                idx = np.flatnonzero(nb == m)
-                if not idx.size:
-                    continue
-                t, c, rr = np.concatenate([block[:, idx], [[0.0], [far[i]], [far[i]]]], axis=1)
-                total, _ = _potential_sum(config, m, t, c, (lr[:m], lc[:m]), floor=rr)
-                g[idx] = total[:-1]
-            g = g.reshape(-1, j1 - j0)
+            g = _octave_sums(config, n_at, octave[rows, j0:j1], x[rows] * s[j0:j1],
+                             y[rows] * s[j0:j1], r[rows, j0:j1], centers)
         # g = 2 sigma sqrt(Phi), Phi a quarter of the kernel's sum, in place
         g /= 4.0
         np.sqrt(g, out=g)
@@ -699,11 +685,12 @@ def growth_exponent(config: Configuration, rho_grid, mc_samples: int, seed: int,
     passes the largest rho; its tables, and so the fit, are the same bit
     for bit as from the potential at every node of the grid.
 
-    Raises ValueError, before any work, for an ``mc_samples``, ``n_psi`` or
-    ``n_radial`` below 1, and InsufficientRange for a rho grid that is not
-    finite, has fewer than two positive values or spans less than a decade.
+    Raises ValueError, before any work, for an ``n_psi`` or ``n_radial``
+    below 1 or an ``mc_samples`` below 16 per rho value, and
+    InsufficientRange for a rho grid that is not finite, has fewer than two
+    positive values or spans less than a decade.
     """
-    for name, value in (("mc_samples", mc_samples), ("n_psi", n_psi), ("n_radial", n_radial)):
+    for name, value in (("n_psi", n_psi), ("n_radial", n_radial)):
         if not value >= 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
     rho = np.unique(np.asarray([float(r) for r in rho_grid]))
@@ -713,10 +700,13 @@ def growth_exponent(config: Configuration, rho_grid, mc_samples: int, seed: int,
         raise InsufficientRange("need at least two positive rho values")
     if math.log10(rho[-1] / rho[0]) < 1.0:
         raise InsufficientRange("rho grid must span at least one decade")
+    if not mc_samples >= 16 * rho.size:
+        raise ValueError(f"mc_samples must be at least 16 per rho value, "
+                         f"{16 * rho.size} here, got {mc_samples!r}")
     _axial_check(config)
 
     x_grid, tables = _boundary_tables(config, rho, n_psi, n_radial)
-    m = max(16, int(mc_samples) // rho.size)
+    m = int(mc_samples) // rho.size
     base = np.random.Philox(key=int(seed))
 
     samples = []

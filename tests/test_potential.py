@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ainfty.config import axial_monotone, finite_list, power_law
+from ainfty.config import Finite, axial_monotone, finite_list, general_axial, power_law
 from ainfty import potential
 from ainfty.errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
                            SegmentHitsCenter, SingularPoint, TailUnresolved)
@@ -22,6 +22,9 @@ from ainfty.quotient import same_class
 
 SINGLE = finite_list([(0.0, 0j)])
 PL2 = power_law(2.0, truncation=512)
+# centers 1000 n^2 + n/2: a coarse tail estimate that grows with each
+# point's radius, and a growth grid that takes more than one N
+STEEP = axial_monotone(lambda n: 1000.0 * n * n + 0.5 * n, growth=(1000.0, 2.0, 1))
 
 
 def test_phi_single_center():
@@ -254,6 +257,33 @@ def test_kernel_matches_rows_bit_for_bit(monkeypatch):
     total, _ = potential._potential_sum(fin, 3, t, z, floor=r)
     assert np.array_equal(total, _kernel_rows(fin, 3, t, z, floor=r))
     assert total[0] > 4e8 and total[1] > 4e8
+
+
+@pytest.mark.parametrize("config", [
+    power_law(2.0),
+    finite_list([(0.0, 0j), (1.5, 0j), (-2.0, 0j)]),
+    STEEP,
+    axial_monotone(lambda n: n * n + 0.5 * n, growth=(1.0, 2.0, 1)),
+    general_axial([(1.0, 0j), (-2.0, 0j), (3.5, 0j)], 4.0, {0j: Finite(3)},
+                  tail_oracles=(lambda n: 100.0, lambda n, r: 1e-6 / (1.0 - r / 100.0))),
+], ids=["power_law", "finite_list", "axial_monotone_steep", "axial_monotone", "general_axial"])
+def test_values_depend_on_the_point_alone(config):
+    # a point's kernel sum and growth-batch potential do not depend on the
+    # other points of its call: per point, shuffled, or split into parts
+    # that each keep the farthest point (which sets the batch's tolerance)
+    rng = np.random.default_rng(5)
+    t, c = rng.uniform(-1.0, 1.0, 200), rng.uniform(0.0, 1.0, 200)
+    n = config.n_enumerated
+    total, _ = potential._potential_sum(config, n, t, c)
+    assert all(potential._potential_sum(config, n, ti, ci)[0] == v
+               for ti, ci, v in zip(t, c, total))
+    whole = _phi_batch(config, t, c)
+    perm = rng.permutation(t.size)
+    assert np.array_equal(_phi_batch(config, t[perm], c[perm]), whole[perm])
+    far = int(np.argmax(np.hypot(t, c)))
+    for part in np.array_split(np.delete(perm, perm == far), 3):
+        idx = np.append(part, far)
+        assert np.array_equal(_phi_batch(config, t[idx], c[idx]), whole[idx])
 
 
 def test_flow_zero_segment():
@@ -556,7 +586,8 @@ def test_growth_single_center_smoke():
     ({"n_psi": 0}, ValueError, "n_psi"),
     ({"n_radial": 0}, ValueError, "n_radial"),
     ({"mc_samples": 0}, ValueError, "mc_samples"),
-], ids=["nan_rho", "inf_rho", "n_psi", "n_radial", "mc_samples"])
+    ({"mc_samples": 143}, ValueError, "mc_samples"),
+], ids=["nan_rho", "inf_rho", "n_psi", "n_radial", "mc_samples", "mc_samples_per_rho"])
 def test_growth_rejects_invalid_arguments(kwargs, error, name, monkeypatch):
     # each is rejected by name before any work, with no numpy warning
     def no_work(*args):
@@ -606,9 +637,6 @@ def _full_grid_tables(config, rho_grid, n_psi, n_radial):
 
 
 ACCEPTANCE_RHO = np.geomspace(1e2, 1e4, 9)
-# centers 1000 n^2 + n/2: its coarse tail estimate depends on the largest
-# radius of a kernel call, and its grid takes more than one N
-STEEP = axial_monotone(lambda n: 1000.0 * n * n + 0.5 * n, growth=(1000.0, 2.0, 1))
 
 
 @pytest.mark.parametrize("config, rho, n_psi, n_radial", [
