@@ -12,6 +12,7 @@ Tail oracles.  Each family provides two primitives,
 * ``min_tail_norm(N)``   -- a certified lower bound on inf_{n>N} |lambda_n|,
 * ``tail_inv_sum(N, r)`` -- a certified upper bound on
   sum_{n>N} 1/(|lambda_n| - r), finite only when min_tail_norm(N) > r,
+  at a radius r or at each radius of an array r,
 
 from which coarse potential / log-product / flow tails derive.  Every
 family's potential tail ``phi_tail`` is pointwise: a point's estimate
@@ -475,7 +476,9 @@ class CenterFamily:
     def min_tail_norm(self, n_centers: int) -> float:
         raise NotImplementedError
 
-    def tail_inv_sum(self, n_centers: int, r: float) -> float:
+    def tail_inv_sum(self, n_centers: int, r):
+        """The bound at the radius r, a float, or at each radius of an
+        array r (the potential tail's estimates take one call per batch)."""
         raise NotImplementedError
 
     def tail_chart_admissible(self, n_centers: int) -> Optional[bool]:
@@ -496,8 +499,7 @@ class CenterFamily:
              if self.min_tail_norm(n_centers) > rmax else math.inf)
         if not 0.0 < b < math.inf:      # no tail left, or none certified
             return np.zeros_like(r), b if b == 0.0 else math.inf
-        est = np.array([self.tail_inv_sum(n_centers, ri) for ri in np.ravel(r).tolist()])
-        return np.minimum(est / 2.0, b).reshape(np.shape(r)), b
+        return np.minimum(self.tail_inv_sum(n_centers, r) / 2.0, b), b
 
     def phi_tail_bound(self, n_centers: int, t, z) -> float:
         """The error bound of ``phi_tail``, for truncation probes."""
@@ -517,6 +519,24 @@ class CenterFamily:
         if self.min_tail_norm(n_centers) <= 2.0 * rbar:
             return 0.0, math.inf
         return 0.0, 2.0 * abs(t1 - t0) * self.tail_inv_sum(n_centers, 2.0 * rbar)
+
+
+def _fill(r, value: float):
+    """value at the radius r, a float, or at each radius of an array r."""
+    return value if np.ndim(r) == 0 else np.full(np.shape(r), value)
+
+
+def _inv_sum(base: float, s0: float, x, r):
+    """base / (1 - x/s0) where x < s0, base where also r <= 0, inf where
+    x >= s0: the closed-form tail_inv_sum at the scaled radii x = r / c,
+    on a float or elementwise on an array."""
+    if np.ndim(x) == 0:
+        return math.inf if x >= s0 else base if r <= 0 else base / (1.0 - x / s0)
+    with np.errstate(divide="ignore"):
+        out = base / (1.0 - x / s0)
+    out[r <= 0] = base
+    out[x >= s0] = math.inf
+    return out
 
 
 def _neighbors_from_sorted(points, t):
@@ -675,13 +695,8 @@ class PowerLawFamily(_AxialDecreasingFamily):
         return float(n_centers + 1) ** self.beta
 
     def tail_inv_sum(self, n_centers, r):
-        s0 = self.min_tail_norm(n_centers)
-        if r >= s0:
-            return math.inf
         base = float(n_centers) ** (1.0 - self.beta) / (self.beta - 1.0)
-        if r <= 0:
-            return base
-        return base / (1.0 - r / s0)
+        return _inv_sum(base, self.min_tail_norm(n_centers), r, r)
 
     def phi_tail(self, n_centers, t, z):
         return _legendre_tail(self.beta, n_centers, t, z)
@@ -732,18 +747,11 @@ class AxialMonotoneFamily(_AxialDecreasingFamily):
         return c * float(n_centers + 1) ** gamma
 
     def tail_inv_sum(self, n_centers, r):
-        if self.growth is None:
-            return math.inf
-        c, gamma, n0 = self.growth
-        if n_centers < n0:
-            return math.inf
-        s0 = float(n_centers + 1) ** gamma
-        if r / c >= s0:
-            return math.inf
+        if self.growth is None or n_centers < self.growth[2]:
+            return _fill(r, math.inf)
+        c, gamma, _ = self.growth
         base = float(n_centers) ** (1.0 - gamma) / (c * (gamma - 1.0))
-        if r <= 0:
-            return base
-        return base / (1.0 - (r / c) / s0)
+        return _inv_sum(base, float(n_centers + 1) ** gamma, r / c, r)
 
     def tail_chart_admissible(self, n_centers):
         # increasing sequence: once positive, stays positive
@@ -812,7 +820,7 @@ class FiniteListFamily(CenterFamily):
         return math.inf if n_centers >= self.count else 0.0
 
     def tail_inv_sum(self, n_centers, r):
-        return 0.0 if n_centers >= self.count else math.inf
+        return _fill(r, 0.0 if n_centers >= self.count else math.inf)
 
     def tail_chart_admissible(self, n_centers):
         return True if n_centers >= self.count else None
@@ -903,11 +911,13 @@ class GeneralAxialFiberedFamily(FiniteListFamily):
         return max(self.base_radius, user)
 
     def tail_inv_sum(self, n_centers, r):
-        if self.tail_oracles is None:
-            return math.inf
-        if n_centers < self.count:
-            return math.inf
-        return self.tail_oracles[1](n_centers, r)
+        if self.tail_oracles is None or n_centers < self.count:
+            return _fill(r, math.inf)
+        if np.ndim(r) == 0:
+            return self.tail_oracles[1](n_centers, r)
+        # the user's oracle takes one radius at a time
+        return np.array([self.tail_oracles[1](n_centers, ri) for ri in np.ravel(r).tolist()],
+                        dtype=float).reshape(np.shape(r))
 
     def tail_chart_admissible(self, n_centers):
         return None

@@ -12,8 +12,14 @@ tolerance, raising TailUnresolved once N reaches max_truncation.  It
 starts at the configuration's enumerated count, except in growth batches
 (``_phi_batch`` and the boundary tables): ``_octave_truncation`` starts at
 one center and picks, per radius octave of the points and from the
-nearest octave outward, the least N that meets the batch's one tolerance
-(doubling, then bisection).
+nearest octave outward, the least N whose tail bound meets 15/16 of the
+batch's one tolerance (doubling, then bisection).  A growth batch's calls
+with N >= _TREE_MIN sum their centers by a treecode (``_cluster_sum``;
+Barnes and Hut 1986, Greengard and Rokhlin 1987): a binary tree over the
+sorted heights, whose nodes far from a point go by the order-16 Legendre
+expansion of the power-law tail with the node's moments as coefficients,
+within the other 1/16, and whose near leaves are summed directly.  Every
+other caller sums the first N centers directly.
 Flow quantities come in two deliberately independent routes:
 ``flow_log_g`` integrates Phi along a vertical segment on Gauss-Legendre
 panels (``quad``) sized by a Bernstein-ellipse error bound, while
@@ -37,13 +43,15 @@ rho stratum, so results are bit-reproducible for a given seed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import _BLOCK, Configuration, moduli_pair
+from .config import (_ALPHA, _BLOCK, _LEGENDRE_ORDER, _MACHEP, Configuration,
+                     _legendre_sum, moduli_pair)
 from .errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
                      SegmentHitsCenter, SingularPoint, TailUnresolved)
 from .geometry import ImHPoint, as_point
@@ -68,6 +76,15 @@ _BATCH_REL_TOL = 1e-5
 # each node counted as at least _NODE_TERMS
 _SWEEP_TERMS = 1 << 20
 _NODE_TERMS = 32
+# The treecode of growth batches (_cluster_sum): calls with N >= _TREE_MIN
+# use it; leaves of _LEAF centers; the traversal starts at the lowest level
+# of at most _START nodes; points go in blocks of about _PAIRS node pairs;
+# the clusters get _CLUSTER_SHARE of a batch's tolerance, the tail the rest
+_TREE_MIN = 256
+_LEAF = 64
+_START = 8
+_PAIRS = 1 << 14
+_CLUSTER_SHARE = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -488,16 +505,18 @@ def _least_truncation(config: Configuration, r: float, tol: float, n: int) -> in
 
 def _octave_truncation(config: Configuration, r: np.ndarray, rel_tol: float):
     """The certified truncation of every point of a growth batch at the
-    radii r (an array of any shape), as (n_at, octave): a point sums the
-    first n_at[octave] centers.  When one N serves every point, n_at holds
-    that N alone and octave is None.  Accuracy: absolute error at most
-    rel_tol / (4 (rmax + |lambda_first| + 1)), a relative rel_tol at the
-    farthest point of the batch.
+    radii r (an array of any shape), as (n_at, octave, share): a point sums
+    the first n_at[octave] centers.  When one N serves every point, n_at
+    holds that N alone and octave is None.  Accuracy: absolute error at
+    most rel_tol / (4 (rmax + |lambda_first| + 1)), a relative rel_tol at
+    the farthest point of the batch; the tail bound meets all but
+    _CLUSTER_SHARE of it, and share, the rest, is left to the clusters of
+    ``_cluster_sum``.
 
     The truncation is chosen per radius octave rmax 2^-(k+1) < r <=
     rmax 2^-k (the last, k = 63, also holds every point below it): the
     least N whose tail bound at the octave's outer radius on the axis meets
-    that accuracy (``_least_truncation``), from the nearest octave outward,
+    the tail's share (``_least_truncation``), from the nearest octave outward,
     each starting from the previous octave's N.  The tail bounds depend on
     the radius alone and grow with it, so that N serves every point of the
     octave.  Every N is certified before any term is summed.  When the
@@ -505,14 +524,15 @@ def _octave_truncation(config: Configuration, r: np.ndarray, rel_tol: float):
     rmax = float(r.max())
     lr0 = abs(config.center(config.family.n_first)[0])
     scale = 1.0 / (4.0 * (rmax + lr0 + 1.0))   # lower bound for Phi at rmax
-    tol = rel_tol * scale
+    share = rel_tol * scale * _CLUSTER_SHARE
+    tol = rel_tol * scale * (1.0 - _CLUSTER_SHARE)
     outer = np.ldexp(rmax, -np.arange(64))
     edges = outer[::-1]
     inner = 63 - int(np.searchsorted(edges, r.min()))
     n_in = _least_truncation(config, outer[inner], tol, config.family.clamp(1))
     n, _ = _tail_truncation(config, rmax, 0.0, tol, n_in)
     if n == n_in:       # the nearest octave's N is certified out to rmax
-        return np.array([n]), None
+        return np.array([n]), None, share
 
     octave = np.searchsorted(edges, r)
     np.subtract(63, octave, out=octave)     # exact: r <= outer[octave]
@@ -522,26 +542,195 @@ def _octave_truncation(config: Configuration, r: np.ndarray, rel_tol: float):
     for k in filled[::-1]:
         n = _least_truncation(config, outer[k], tol, n)
         n_at[k] = n
-    return n_at, octave
+    return n_at, octave, share
 
 
-def _octave_sums(config: Configuration, n_at, octave, t, c, r, centers=None):
+@functools.cache
+def _far_ratios():
+    """(rho, g): g(rho) = rho^(L+2)/(1 - rho) + kappa rho A(rho) on a grid
+    of rho in (0, 1/2], increasing; A(rho) = sum_l alpha_l rho^l (``_ALPHA``)
+    and kappa = (16 L + 64) u, u = 2^-53.
+
+    A node of half-width w and midpoint m, at distance d = w/rho from a
+    point, holds centers at heights m + w u_k, |u_k| <= 1; their sum is
+    (1/d) sum_l q_l R_l(y, v), q_l = sum_k u_k^l, with R_l as in
+    ``config._legendre_tail`` for y = -w (t + m)/d^2 and v = w^2/d^2.
+    With |q_l| <= count and |R_l| <= rho^l, cutting at L leaves at most
+    count rho^(L+1)/(d - w) = count rho^(L+2)/(w (1 - rho)).  Rounding,
+    after Higham as in ``config._legendre_rounding``, moves R_l by at most
+    (4 l + 8 l) u alpha_l rho^l, q_l by (3 l + 40) u count (powers of u_k,
+    each off by 2 u, and pairwise sums of at most 2^32 terms), and the sum
+    and the division by (L + 3) u: at most kappa count A(rho)/d =
+    kappa count rho A(rho)/w in all.  So a node whose w/d is at most the
+    largest grid rho with g(rho) <= b w is within b of the exact sum per
+    center."""
+    rho = np.arange(1, 4097) / 8192.0
+    kappa = (16 * _LEGENDRE_ORDER + 64) * _MACHEP
+    g = rho ** (_LEGENDRE_ORDER + 2) / (1.0 - rho)
+    g += kappa * rho * np.polynomial.polynomial.polyval(rho, _ALPHA)
+    return rho, g
+
+
+def _cluster_tree(lr, b: float):
+    """The treecode's tree over the centers of heights lr, as flat arrays
+    (m, w, dc2, q, offs, leaves).  With h the sorted heights, level k,
+    leaves first, holds the nodes offs[k] to offs[k + 1] - 1, and its node
+    j the heights h[j S:(j + 1) S], S = _LEAF 2^k; the top level is the
+    lowest of at most _START nodes.  Per node: midpoint m, half-width w,
+    squared far radius dc2 for an error of at most b per center
+    (``_far_ratios``; a far node's centers are at least 2e-9 (1 + |m| + w)
+    away, so no floor clamp of ``_potential_sum`` binds on them), and the
+    moments q_l = sum ((h - m)/w)^l as rows.  leaves holds h in rows of
+    _LEAF, padded with inf."""
+    h = np.sort(lr)
+    rho, g = _far_ratios()
+    levels, offs = [], [0]
+    size = _LEAF
+    while not levels or offs[-1] - offs[-2] > _START:
+        nodes = -(-h.size // size)
+        ends = np.minimum(np.arange(1, nodes + 1) * size, h.size)
+        first, last = h[::size], h[ends - 1]
+        m = 0.5 * (first + last)
+        w = 0.5 * (last - first) + (np.abs(first) + np.abs(last)) * _EPS
+        u = np.full(nodes * size, m[-1])
+        u[:h.size] = h
+        u = u.reshape(nodes, size) - m[:, None]
+        u /= np.where(w > 0.0, w, 1.0)[:, None]
+        q = np.empty((_LEGENDRE_ORDER + 1, nodes))
+        q[0] = ends - np.arange(nodes) * size
+        p = u.copy()
+        for l in range(1, _LEGENDRE_ORDER + 1):
+            np.sum(p, axis=1, out=q[l])
+            p *= u
+        k = np.searchsorted(g, b * w, side="right")
+        dc = np.where(k > 0, w / rho[k - 1], np.inf)
+        dc = np.maximum(dc, w + 2e-9 * (1.0 + np.abs(m) + w)) * (1.0 + 2.0 ** -40)
+        levels.append((m, w, dc * dc, q))
+        offs.append(offs[-1] + nodes)
+        size *= 2
+    m, w, dc2, q = (np.concatenate(a, axis=-1) for a in zip(*levels))
+    leaves = np.full(offs[1] * _LEAF, np.inf)
+    leaves[:h.size] = h
+    return m, w, dc2, q, offs, leaves.reshape(-1, _LEAF)
+
+
+def _cluster_sum(config: Configuration, n: int, tree, t, c, r):
+    """The kernel's sum at the axial points (t, c), c = |z| >= 0, of radii
+    r (1-D arrays) over the first n centers, by the treecode on their
+    ``_cluster_tree``, plus the tail estimate past them.
+
+    Each point descends the tree from its top level: a node far from the
+    point adds its order-L expansion (``_legendre_sum`` with the node's
+    moments as per-pair coefficients), a near one passes the point to its
+    children, and a near leaf adds its direct sum, with the floor clamp of
+    ``_potential_sum``.  Points go in blocks of about _PAIRS top-level
+    pairs.  Each point's nodes, and the order in which its terms add up,
+    depend on the point alone, so its value does not depend on the other
+    points or on any blocking."""
+    m, w, dc2, q, offs, leaves = tree
+    fl = np.where(c < 2e-9 * (1.0 + r), 1e-9 * (1.0 + r), 0.0)
+    top = len(offs) - 2
+    out = np.empty(t.size)
+    step = max(1, _PAIRS // (offs[-1] - offs[-2]))
+    for a in range(0, t.size, step):
+        tb, c2 = t[a:a + step], c[a:a + step] ** 2
+        pt = np.repeat(np.arange(tb.size), offs[-1] - offs[-2])
+        nd = np.tile(np.arange(offs[-2], offs[-1]), tb.size)
+        far_pairs = []
+        for k in range(top, -1, -1):
+            dt = tb[pt] + m[nd]
+            d2 = dt * dt
+            d2 += c2[pt]
+            far = d2 >= dc2[nd]
+            far_pairs.append((pt[far], nd[far], dt[far], d2[far]))
+            pt, nd = pt[~far], nd[~far]
+            if k:       # the children of the near nodes
+                nd = (2 * (nd - offs[k]) + offs[k - 1])[:, None] + (0, 1)
+                pt, nd = np.repeat(pt, 2), nd.ravel()
+                if (offs[k] - offs[k - 1]) % 2:     # the last node has one child
+                    keep = nd < offs[k]
+                    pt, nd = pt[keep], nd[keep]
+        fp, fn, fdt, fd2 = (np.concatenate(x) for x in zip(*far_pairs))
+        vals = np.concatenate([_expansions(q, w, fn, fdt, fd2),
+                               _leaf_sums(leaves, nd, tb[pt], c2[pt], fl[a:a + step][pt])])
+        out[a:a + step] = np.bincount(np.concatenate([fp, pt]), vals, tb.size)
+    out += np.ravel(config.family.phi_tail(n, t, c)[0])
+    return out
+
+
+def _expansions(q, w, nd, dt, d2):
+    """Each far pair's expansion (1/d) sum_l q_l[nd] R_l(y, v), in equal
+    blocks of at most _BLOCK / 16 pairs."""
+    out = np.empty(nd.size)
+    blocks = max(1, -(-nd.size // (_BLOCK // 16)))
+    step = max(1, -(-nd.size // blocks))
+    for lo in range(0, nd.size, step):
+        j = nd[lo:lo + step]
+        wj = w[j]
+        y = dt[lo:lo + step] * wj
+        y /= d2[lo:lo + step]
+        np.negative(y, out=y)
+        wj *= wj
+        wj /= d2[lo:lo + step]
+        out[lo:lo + step] = _legendre_sum(q[:, j], y, wj)
+    out /= np.sqrt(d2)
+    return out
+
+
+def _leaf_sums(leaves, nd, t, c2, fl):
+    """Direct sums of the near leaves nd at the points (t, c2 = c^2), with
+    distances clamped to fl where fl > 0, in blocks of about _BLOCK terms
+    in one reused buffer (padded leaf slots hold inf and add 0)."""
+    rows = max(1, _BLOCK // _LEAF)
+    out = np.empty(nd.size)
+    buf = np.empty(min(rows, nd.size) * _LEAF)
+    for a in range(0, nd.size, rows):
+        b = min(a + rows, nd.size)
+        s = buf[:(b - a) * _LEAF].reshape(b - a, _LEAF)
+        np.take(leaves, nd[a:b], axis=0, out=s)
+        s += t[a:b, None]
+        s *= s
+        s += c2[a:b, None]
+        np.sqrt(s, out=s)
+        k = np.flatnonzero(fl[a:b])
+        if k.size:
+            s[k] = np.maximum(s[k], fl[a + k, None])
+        np.reciprocal(s, out=s)
+        np.sum(s, axis=1, out=out[a:b])
+    return out
+
+
+def _octave_sums(config: Configuration, n_at, octave, share, t, c, r, centers=None,
+                 trees=None):
     """The kernel's sums at the axial points (t, c), c = |z| >= 0, of radii
     r (arrays of one shape), each point at its truncation from
-    ``_octave_truncation`` (n_at, octave): one kernel call on all of them
+    ``_octave_truncation`` (n_at, octave, share): one call on all of them
     when one N serves every point, otherwise one call per distinct N of
     their octaves, on prefixes of ``centers`` (default the first n_at[0]
-    centers; octave 0 holds rmax)."""
-    if octave is None:
-        return _potential_sum(config, int(n_at[0]), t, c, floor=r.ravel())[0]
+    centers; octave 0 holds rmax).  A call is the treecode
+    (``_cluster_sum``) from N = _TREE_MIN on, with the clusters' error at
+    most share / 4 at each point (a quarter of the sum is the potential),
+    and the kernel below.  ``trees`` keeps the trees by N, for callers
+    that pass the same centers and share again."""
+    trees = {} if trees is None else trees
     lr, lc = config.family.center_arrays(int(n_at[0])) if centers is None else centers
-    octave, t, c, rv = octave.ravel(), t.ravel(), c.ravel(), r.ravel()
+
+    def sums(m, t, c, r):
+        if m < _TREE_MIN:
+            return _potential_sum(config, m, t, c, (lr[:m], lc[:m]), floor=r)[0]
+        if m not in trees:
+            trees[m] = _cluster_tree(lr[:m], 4.0 * share / m)
+        return _cluster_sum(config, m, trees[m], t, c, r)
+
+    t, c, rv = t.ravel(), c.ravel(), r.ravel()
+    if octave is None:
+        return sums(int(n_at[0]), t, c, rv).reshape(r.shape)
+    octave = octave.ravel()
     n_pt = n_at[octave]
     total = np.empty(rv.shape)
     for m in np.unique(n_at[np.flatnonzero(np.bincount(octave))]).tolist():
         idx = np.flatnonzero(n_pt == m)
-        total[idx], _ = _potential_sum(config, m, t[idx], c[idx], (lr[:m], lc[:m]),
-                                       floor=rv[idx])
+        total[idx] = sums(m, t[idx], c[idx], rv[idx])
     return total.reshape(r.shape)
 
 
@@ -618,11 +807,11 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
     x = x_grid[:, None]
     y = np.sqrt(1.0 - x * x)
     r = np.hypot(x * s, y * s)
-    n_at, octave = _octave_truncation(config, r, _BATCH_REL_TOL)
-    if octave is None:      # one N serves the whole grid: one kernel call on it
-        g_all = _octave_sums(config, n_at, None, x * s, y * s, r)
+    n_at, octave, share = _octave_truncation(config, r, _BATCH_REL_TOL)
+    if octave is None:      # one N serves the whole grid: one call on it
+        g_all = _octave_sums(config, n_at, None, share, x * s, y * s, r)
     else:
-        centers = config.family.center_arrays(int(n_at[0]))
+        centers, trees = config.family.center_arrays(int(n_at[0])), {}
         # the work of the columns before each column: a node costs the
         # largest N of its column, and at least _NODE_TERMS, so that blocks
         # of cheap inner nodes stay small
@@ -641,8 +830,8 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
         else:
             budget = before[j0] + _SWEEP_TERMS / live.size
             j1 = max(int(np.searchsorted(before, budget, side="right")) - 1, j0 + 1)
-            g = _octave_sums(config, n_at, octave[rows, j0:j1], x[rows] * s[j0:j1],
-                             y[rows] * s[j0:j1], r[rows, j0:j1], centers)
+            g = _octave_sums(config, n_at, octave[rows, j0:j1], share, x[rows] * s[j0:j1],
+                             y[rows] * s[j0:j1], r[rows, j0:j1], centers, trees)
         # g = 2 sigma sqrt(Phi), Phi a quarter of the kernel's sum, in place
         g /= 4.0
         np.sqrt(g, out=g)

@@ -181,8 +181,8 @@ def test_phi_batch_truncation_per_octave(monkeypatch):
 def test_phi_batch_least_truncation_per_octave(beta, monkeypatch):
     # 240 points over 20 radius octaves below 1e4, at random angles: each
     # octave sums the least N whose tail bound at its outer radius meets the
-    # batch's tolerance, and every value is within that tolerance of a sum
-    # over 2^16 centers
+    # tail's share of the batch's tolerance, and every value is within that
+    # tolerance of a sum over 2^16 centers
     cfg = power_law(beta, truncation=64)
     rng = np.random.default_rng(17)
     r = 1e4 * 2.0 ** -rng.uniform(0.0, 20.0, 240)
@@ -200,14 +200,15 @@ def test_phi_batch_least_truncation_per_octave(beta, monkeypatch):
 
     rmax = float(np.hypot(t, c).max())
     tol = 1e-5 / (4.0 * (rmax + 1.0 + 1.0))
+    tail_tol = tol * (1.0 - potential._CLUSTER_SHARE)
     bound = cfg.family.phi_tail_bound
     assert len({n for n, _ in calls}) > 3
     for n, radii in calls:
         # octave k: rmax 2^-(k+1) < r <= rmax 2^-k
         for k in set(np.floor(np.log2(rmax / radii)).astype(int).tolist()):
             outer = math.ldexp(rmax, -k)
-            assert bound(n, outer, 0.0) / 4.0 <= tol
-            assert n == 1 or bound(n - 1, outer, 0.0) / 4.0 > tol
+            assert bound(n, outer, 0.0) / 4.0 <= tail_tol
+            assert n == 1 or bound(n - 1, outer, 0.0) / 4.0 > tail_tol
     ref, _ = potential._potential_sum(cfg, 1 << 16, t, c, floor=np.hypot(t, c))
     assert np.all(np.abs(vals - ref / 4.0) <= tol + potential._rounding_slop(vals))
 
@@ -284,6 +285,105 @@ def test_values_depend_on_the_point_alone(config):
     for part in np.array_split(np.delete(perm, perm == far), 3):
         idx = np.append(part, far)
         assert np.array_equal(_phi_batch(config, t[idx], c[idx]), whole[idx])
+
+
+def test_tail_inv_sum_on_an_array_equals_scalar_calls():
+    # one call on an array of radii, as CenterFamily.phi_tail makes, gives
+    # each radius the scalar call's value bit for bit: 0, the radii up to
+    # the bound's pole c (N + 1)^gamma, the pole itself and past it
+    fam = STEEP.family
+    for n in (0, 1, 64, 4096):
+        pole = 1000.0 * float(n + 1) ** 2
+        r = np.concatenate([[0.0, 5e-324, pole * (1.0 - 2.0 ** -52), pole, 2.0 * pole],
+                            np.geomspace(1e-3, 2.0 * pole, 195)]).reshape(40, 5)
+        ref = np.array([[fam.tail_inv_sum(n, ri) for ri in row] for row in r.tolist()])
+        assert np.array_equal(fam.tail_inv_sum(n, r), ref)
+    t, c = np.linspace(-3e6, 3e6, 101), np.linspace(0.0, 1e6, 101)
+    est, err = fam.phi_tail(64, t, c)
+    rmax = float(np.hypot(t, c).max())
+    assert err == fam.tail_inv_sum(64, rmax) / 2.0
+    assert np.array_equal(est, [min(fam.tail_inv_sum(64, math.hypot(ti, ci)) / 2.0, err)
+                                for ti, ci in zip(t.tolist(), c.tolist())])
+
+
+def _cluster_batch(beta, rmax, seed):
+    """Growth-batch points out to rmax: on the axis at both signs, off it,
+    and within 1e-3 of a center, with the farthest at rmax."""
+    rng = np.random.default_rng(seed)
+    r = rmax * rng.uniform(0.0, 1.0, 160) ** (1.0 / 3.0)
+    angle = rng.uniform(0.0, math.pi, 160)
+    angle[:40] = np.where(np.arange(40) % 2, 0.0, math.pi)
+    r[0] = rmax
+    t, c = r * np.cos(angle), r * np.sin(angle)
+    n = rng.integers(1, int(rmax ** (1.0 / beta)), 40)
+    t[-40:] = -n.astype(float) ** beta + rng.uniform(-1e-3, 1e-3, 40)
+    c[-40:] = np.abs(rng.uniform(-1e-3, 1e-3, 40)) * (np.arange(40) % 2)
+    return t, c
+
+
+@pytest.mark.parametrize("beta, rmax", [(1.25, 1e5), (2.0, 1e5), (3.0, 1e7)])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_phi_batch_clusters_within_tolerance(beta, rmax, seed):
+    # batches whose outer octaves sum hundreds to thousands of centers, so
+    # that the treecode runs and far clusters go by their expansions: every
+    # value is within the batch's tolerance (tail and clusters together) of
+    # a sum over 2^16 centers, and does not depend on the other points of
+    # its batch
+    cfg = power_law(beta, truncation=64)
+    t, c = _cluster_batch(beta, rmax, seed)
+    expansions = []
+    far = potential._expansions
+
+    def spy(q, w, nd, *args):
+        expansions.append(nd.size)
+        return far(q, w, nd, *args)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(potential, "_expansions", spy)
+        vals = _phi_batch(cfg, t, c)
+    assert sum(expansions) > 0
+    r = np.hypot(t, c)
+    tol = 1e-5 / (4.0 * (r.max() + 1.0 + 1.0))
+    ref, _ = potential._potential_sum(cfg, 1 << 16, t, c, floor=r)
+    assert np.all(np.abs(vals - ref / 4.0) <= tol + potential._rounding_slop(vals))
+    # the clusters alone stay within their share, against the kernel's
+    # direct sum of the same centers
+    n_at, octave, share = potential._octave_truncation(cfg, r, 1e-5)
+    assert math.isclose(share, tol * potential._CLUSTER_SHARE, rel_tol=1e-12)
+    n_pt = n_at[octave]
+    direct = np.empty(r.size)
+    for n in np.unique(n_pt).tolist():
+        idx = np.flatnonzero(n_pt == n)
+        direct[idx], _ = potential._potential_sum(cfg, n, t[idx], c[idx], floor=r[idx])
+    assert np.all(np.abs(vals - direct / 4.0) <= share + potential._rounding_slop(vals))
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(t.size)
+    assert np.array_equal(_phi_batch(cfg, t[perm], c[perm]), vals[perm])
+    for part in np.array_split(np.delete(perm, perm == 0), 3):
+        idx = np.append(part, 0)
+        assert np.array_equal(_phi_batch(cfg, t[idx], c[idx]), vals[idx])
+
+
+def test_growth_fit_equal_with_smaller_blocks(monkeypatch):
+    # a fixed seed reproduces a fit bit for bit through the treecode, whatever
+    # the blocks of the kernel, the expansions and the leaves (_BLOCK) and of
+    # the treecode's points (_PAIRS)
+    calls = []
+    tree = potential._cluster_sum
+
+    def spy(config, n, *args):
+        calls.append(n)
+        return tree(config, n, *args)
+    monkeypatch.setattr(potential, "_cluster_sum", spy)
+    args = (power_law(2.0), np.geomspace(1e2, 1e4, 9), 20_000, 3)
+    fit = growth_exponent(*args)
+    assert max(calls) >= potential._TREE_MIN
+    for name, value in (("_BLOCK", 3000), ("_PAIRS", 40)):
+        with monkeypatch.context() as m:
+            m.setattr(potential, name, value)
+            other = growth_exponent(*args)
+        assert other.samples == fit.samples
+        assert other.slope == fit.slope and other.slope_stderr == fit.slope_stderr
 
 
 def test_flow_zero_segment():
@@ -663,15 +763,18 @@ def test_growth_fit_equal_with_full_grid_tables(monkeypatch):
 
 
 def test_boundary_tables_skip_nodes_past_the_crossing(monkeypatch):
-    # points x N summed, probe included: the rays stop soon after they pass
-    # the largest rho, against every node of the full grid
+    # points x N summed by the kernel and the treecode, probe included: the
+    # rays stop soon after they pass the largest rho, against every node of
+    # the full grid
     terms = [0]
-    kernel = potential._potential_sum
 
-    def counting(config, n, t, *args, **kwargs):
-        terms[0] += np.size(t) * n
-        return kernel(config, n, t, *args, **kwargs)
-    monkeypatch.setattr(potential, "_potential_sum", counting)
+    def counting(kernel, at):       # args[at] holds the points' t
+        def count(config, n, *args, **kwargs):
+            terms[0] += np.size(args[at]) * n
+            return kernel(config, n, *args, **kwargs)
+        return count
+    monkeypatch.setattr(potential, "_potential_sum", counting(potential._potential_sum, 0))
+    monkeypatch.setattr(potential, "_cluster_sum", counting(potential._cluster_sum, 1))
     cfg = power_law(2.0)
     potential._boundary_tables(cfg, ACCEPTANCE_RHO, 320, 768)
     swept, terms[0] = terms[0], 0
