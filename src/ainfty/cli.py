@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -258,6 +259,11 @@ def _cmd_growth(args):
         raise UsageError("growth needs --config or --beta")
     if args.points < 2:
         raise UsageError("growth needs at least two rho points")
+    for flag, value in (("--rho-min", args.rho_min), ("--rho-max", args.rho_max)):
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"{flag} must be finite and positive, got {value!r}")
+    if not math.isfinite(args.samples):
+        raise UsageError(f"--samples must be finite, got {args.samples!r}")
     rho = [args.rho_min * (args.rho_max / args.rho_min) ** (k / (args.points - 1))
            for k in range(args.points)]
     fit = growth_exponent(cfg, rho, int(args.samples), args.seed)

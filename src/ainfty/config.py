@@ -606,13 +606,8 @@ class _AxialDecreasingFamily(CenterFamily):
             out.append((n, -self.a(n)))
             n -= 1
         # include exact left endpoint if -a_{n_hi+1} == lo
-        if n_hi + 1 <= n_max:
-            try:
-                t_next = -self.a(n_hi + 1)
-            except Exception:
-                t_next = None
-            if t_next is not None and t_next == lo:
-                out.append((n_hi + 1, t_next))
+        if n_hi + 1 <= n_max and (t_next := -self.a(n_hi + 1)) == lo:
+            out.append((n_hi + 1, t_next))
         out.sort(key=lambda p: p[1])
         return out
 
@@ -1001,9 +996,6 @@ class ValidityReport:
     chart_admissible: bool
     zero_real_indices: tuple
     n_enumerated: int
-
-    def ok(self) -> bool:
-        return self.generic and self.summable
 
 
 def validate(config: Configuration) -> ValidityReport:

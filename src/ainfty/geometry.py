@@ -34,7 +34,3 @@ def as_point(p) -> ImHPoint:
     if len(p) == 3:
         return ImHPoint(float(p[0]), complex(float(p[1]), float(p[2])))
     raise ValueError(f"cannot interpret {p!r} as a point of Im H")
-
-
-def dist(a: ImHPoint, b: ImHPoint) -> float:
-    return math.hypot(a.t - b.t, abs(a.z - b.z))

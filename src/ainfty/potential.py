@@ -506,8 +506,7 @@ def _least_truncation(config: Configuration, r: float, tol: float, n: int) -> in
 def _octave_truncation(config: Configuration, r: np.ndarray, rel_tol: float):
     """The certified truncation of every point of a growth batch at the
     radii r (an array of any shape), as (n_at, octave, share): a point sums
-    the first n_at[octave] centers.  When one N serves every point, n_at
-    holds that N alone and octave is None.  Accuracy: absolute error at
+    the first n_at[octave] centers.  Accuracy: absolute error at
     most rel_tol / (4 (rmax + |lambda_first| + 1)), a relative rel_tol at
     the farthest point of the batch; the tail bound meets all but
     _CLUSTER_SHARE of it, and share, the rest, is left to the clusters of
@@ -520,7 +519,8 @@ def _octave_truncation(config: Configuration, r: np.ndarray, rel_tol: float):
     each starting from the previous octave's N.  The tail bounds depend on
     the radius alone and grow with it, so that N serves every point of the
     octave.  Every N is certified before any term is summed.  When the
-    nearest octave's N is also certified at rmax, it serves every octave."""
+    nearest octave's N is also certified at rmax, it serves every octave:
+    n_at holds that N alone and every point is in octave 0."""
     rmax = float(r.max())
     lr0 = abs(config.center(config.family.n_first)[0])
     scale = 1.0 / (4.0 * (rmax + lr0 + 1.0))   # lower bound for Phi at rmax
@@ -532,7 +532,7 @@ def _octave_truncation(config: Configuration, r: np.ndarray, rel_tol: float):
     n_in = _least_truncation(config, outer[inner], tol, config.family.clamp(1))
     n, _ = _tail_truncation(config, rmax, 0.0, tol, n_in)
     if n == n_in:       # the nearest octave's N is certified out to rmax
-        return np.array([n]), None, share
+        return np.array([n]), np.zeros(r.shape, dtype=int), share
 
     octave = np.searchsorted(edges, r)
     np.subtract(63, octave, out=octave)     # exact: r <= outer[octave]
@@ -704,9 +704,8 @@ def _octave_sums(config: Configuration, n_at, octave, share, t, c, r, centers=No
                  trees=None):
     """The kernel's sums at the axial points (t, c), c = |z| >= 0, of radii
     r (arrays of one shape), each point at its truncation from
-    ``_octave_truncation`` (n_at, octave, share): one call on all of them
-    when one N serves every point, otherwise one call per distinct N of
-    their octaves, on prefixes of ``centers`` (default the first n_at[0]
+    ``_octave_truncation`` (n_at, octave, share): one call per distinct N
+    of their octaves, on prefixes of ``centers`` (default the first n_at[0]
     centers; octave 0 holds rmax).  A call is the treecode
     (``_cluster_sum``) from N = _TREE_MIN on, with the clusters' error at
     most share / 4 at each point (a quarter of the sum is the potential),
@@ -722,10 +721,7 @@ def _octave_sums(config: Configuration, n_at, octave, share, t, c, r, centers=No
             trees[m] = _cluster_tree(lr[:m], 4.0 * share / m)
         return _cluster_sum(config, m, trees[m], t, c, r)
 
-    t, c, rv = t.ravel(), c.ravel(), r.ravel()
-    if octave is None:
-        return sums(int(n_at[0]), t, c, rv).reshape(r.shape)
-    octave = octave.ravel()
+    t, c, rv, octave = t.ravel(), c.ravel(), r.ravel(), octave.ravel()
     n_pt = n_at[octave]
     total = np.empty(rv.shape)
     for m in np.unique(n_at[np.flatnonzero(np.bincount(octave))]).tolist():
@@ -768,8 +764,7 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
     still short go out together, in blocks of columns of about
     _SWEEP_TERMS terms (points x N), so the cheap inner octaves take few
     kernel calls and the costly outer ones stop within a few columns of
-    each ray's crossing.  When one N serves the whole grid, one kernel call
-    sums all of it.
+    each ray's crossing.
 
     The tables equal, bit for bit, those interpolated from the potential at
     every node: every point keeps the truncation ``_octave_truncation``
@@ -780,18 +775,17 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
     rho_max = rho_grid[-1]
     x_grid = np.linspace(-1.0, 1.0, n_psi + 2)[1:-1]   # strictly interior
 
-    # probe the slowest-accumulating rays for an upper radius
+    # probe the slowest-accumulating rays for an upper radius, the three
+    # rays as one batch
+    x = np.array([x_grid[-1], 0.0, x_grid[0]])[:, None]
+    y = np.sqrt(1.0 - x * x)
     r_up = 4.0 * (1.0 + rho_max)
     for _ in range(64):
-        done = True
-        for x in (x_grid[-1], 0.0, x_grid[0]):
-            sig = np.sqrt(r_up) * np.linspace(0.0, 1.0, 512)
-            s = sig * sig
-            g = 2.0 * sig * np.sqrt(_phi_batch(config, s * x, s * math.sqrt(1.0 - x * x),
-                                               rel_tol=1e-3))
-            if np.trapezoid(g, sig) < 1.2 * rho_max:
-                done = False
-        if done:
+        sig = np.sqrt(r_up) * np.linspace(0.0, 1.0, 512)
+        s = sig * sig
+        g = 2.0 * sig * np.sqrt(_phi_batch(config, (s * x).ravel(), (s * y).ravel(),
+                                           rel_tol=1e-3).reshape(3, -1))
+        if not (np.trapezoid(g, sig) < 1.2 * rho_max).any():
             break
         r_up *= 4.0
     else:
@@ -808,15 +802,12 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
     y = np.sqrt(1.0 - x * x)
     r = np.hypot(x * s, y * s)
     n_at, octave, share = _octave_truncation(config, r, _BATCH_REL_TOL)
-    if octave is None:      # one N serves the whole grid: one call on it
-        g_all = _octave_sums(config, n_at, None, share, x * s, y * s, r)
-    else:
-        centers, trees = config.family.center_arrays(int(n_at[0])), {}
-        # the work of the columns before each column: a node costs the
-        # largest N of its column, and at least _NODE_TERMS, so that blocks
-        # of cheap inner nodes stay small
-        before = np.concatenate([[0], np.cumsum(np.maximum(n_at[octave.min(axis=0)],
-                                                           _NODE_TERMS))])
+    centers, trees = config.family.center_arrays(int(n_at[0])), {}
+    # the work of the columns before each column: a node costs the largest N
+    # of its column, and at least _NODE_TERMS, so that blocks of cheap inner
+    # nodes stay small
+    before = np.concatenate([[0], np.cumsum(np.maximum(n_at[octave.min(axis=0)],
+                                                       _NODE_TERMS))])
 
     cum = np.empty(r.shape)
     g_edge = np.empty(n_psi)                  # g at each live ray's last node
@@ -825,13 +816,10 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
     j0 = 0
     while live.size and j0 < sig.size:
         rows = live if live.size < n_psi else slice(None)
-        if octave is None:
-            j1, g = sig.size, g_all
-        else:
-            budget = before[j0] + _SWEEP_TERMS / live.size
-            j1 = max(int(np.searchsorted(before, budget, side="right")) - 1, j0 + 1)
-            g = _octave_sums(config, n_at, octave[rows, j0:j1], share, x[rows] * s[j0:j1],
-                             y[rows] * s[j0:j1], r[rows, j0:j1], centers, trees)
+        budget = before[j0] + _SWEEP_TERMS / live.size
+        j1 = max(int(np.searchsorted(before, budget, side="right")) - 1, j0 + 1)
+        g = _octave_sums(config, n_at, octave[rows, j0:j1], share, x[rows] * s[j0:j1],
+                         y[rows] * s[j0:j1], r[rows, j0:j1], centers, trees)
         # g = 2 sigma sqrt(Phi), Phi a quarter of the kernel's sum, in place
         g /= 4.0
         np.sqrt(g, out=g)

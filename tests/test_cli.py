@@ -194,6 +194,18 @@ def test_growth_beta_shortcut(capsys):
     assert lines[1] == "rho,W,logrho,logW" and lines[-1].startswith("slope,")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rho-min", "-1"), ("--rho-min", "0"), ("--rho-min", "nan"), ("--rho-max", "inf"),
+    ("--samples", "inf"), ("--samples", "nan"),
+], ids=["rho_min_negative", "rho_min_zero", "rho_min_nan", "rho_max_inf", "samples_inf",
+        "samples_nan"])
+def test_growth_rejects_bad_flags(flag, value, capsys):
+    # a usage error (exit 2) before any work, not a traceback or a domain error
+    code, out, err = _run(capsys, ["growth", "--beta", "2", f"{flag}={value}"])
+    assert code == 2 and not out
+    assert err.startswith(f"usage error: {flag} must be finite")
+
+
 def test_verify_suite(capsys):
     # the suites the bench's cli workload runs
     for suite in ("core", "quotient", "isomorphism"):

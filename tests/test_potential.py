@@ -762,24 +762,61 @@ def test_growth_fit_equal_with_full_grid_tables(monkeypatch):
     assert fit.slope == ref.slope and fit.slope_stderr == ref.slope_stderr
 
 
+def _record_sums(monkeypatch, record):
+    """Call record(n, points) on every call of the kernel and the treecode."""
+    def recording(kernel, at):      # args[at] holds the points' t
+        def call(config, n, *args, **kwargs):
+            record(n, np.size(args[at]))
+            return kernel(config, n, *args, **kwargs)
+        return call
+    monkeypatch.setattr(potential, "_potential_sum", recording(potential._potential_sum, 0))
+    monkeypatch.setattr(potential, "_cluster_sum", recording(potential._cluster_sum, 1))
+
+
 def test_boundary_tables_skip_nodes_past_the_crossing(monkeypatch):
     # points x N summed by the kernel and the treecode, probe included: the
     # rays stop soon after they pass the largest rho, against every node of
     # the full grid
     terms = [0]
 
-    def counting(kernel, at):       # args[at] holds the points' t
-        def count(config, n, *args, **kwargs):
-            terms[0] += np.size(args[at]) * n
-            return kernel(config, n, *args, **kwargs)
-        return count
-    monkeypatch.setattr(potential, "_potential_sum", counting(potential._potential_sum, 0))
-    monkeypatch.setattr(potential, "_cluster_sum", counting(potential._cluster_sum, 1))
+    def count(n, points):
+        terms[0] += points * n
+    _record_sums(monkeypatch, count)
     cfg = power_law(2.0)
     potential._boundary_tables(cfg, ACCEPTANCE_RHO, 320, 768)
     swept, terms[0] = terms[0], 0
     _full_grid_tables(cfg, ACCEPTANCE_RHO, 320, 768)
     assert swept <= 0.6 * terms[0]
+
+
+def test_boundary_tables_sum_in_column_blocks(monkeypatch):
+    # every kernel and treecode call of the tables, probe included, holds at
+    # most one column block: _SWEEP_TERMS terms at _NODE_TERMS or more per
+    # node, or a single column of n_psi nodes; the single center too, whose
+    # one N serves the whole grid
+    sizes = []
+    _record_sums(monkeypatch, lambda n, points: sizes.append(points))
+    for cfg in (SINGLE, power_law(2.0), power_law(3.0)):
+        sizes.clear()
+        potential._boundary_tables(cfg, ACCEPTANCE_RHO, 320, 768)
+        assert max(sizes) <= max(potential._SWEEP_TERMS // potential._NODE_TERMS, 320)
+
+
+@pytest.mark.parametrize("config", [SINGLE, power_law(2.0)], ids=["single", "beta2"])
+def test_boundary_probe_one_batch_per_quadrupling(config, monkeypatch):
+    # the upper-radius probe sums its three rays as one batch of 3 x 512
+    # nodes, once per quadrupling of r_up
+    probes = []
+    batch = potential._phi_batch
+
+    def spy(config, t, c, *args, **kwargs):
+        probes.append((t.size, float(np.hypot(t, c).max())))
+        return batch(config, t, c, *args, **kwargs)
+    monkeypatch.setattr(potential, "_phi_batch", spy)
+    potential._boundary_tables(config, ACCEPTANCE_RHO, 16, 64)
+    sizes, reach = zip(*probes)
+    assert len(probes) > 1 and set(sizes) == {3 * 512}
+    assert np.allclose(np.diff(np.log(reach)), math.log(4.0))
 
 
 @pytest.mark.parametrize("config", [SINGLE, power_law(2.0)], ids=["single", "beta2"])
