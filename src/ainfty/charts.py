@@ -40,7 +40,10 @@ from .quotient import (CombinatorialSection, IntegerDivisor, QuotientClass,
 
 _TWO_PI = 2.0 * math.pi
 _NEWTON_STEPS = 60
-_WALK = 400             # steps of the fallback's search for a bracket
+# A step this far from the interior height means the target is out of reach
+# of any float height; left to run on, Newton passes |t| = 2^512, where
+# ``s *= s`` in potential._potential_sum overflows.
+_RUN_OFF = 2.0 ** 400
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +242,9 @@ def _solve_monotone(profile: _LogProfile, target: float, t=None, v=None) -> floa
     becomes the Newton step in log|t - e| toward an untouched gap end e,
     else bisection.  As |f''| <= f'^2 (so for each term), at |f| <= 1/4
     the step lands within 4.5 |f step| of the root, which ends the loop at
-    1e-14 (1 + |t|); f = profile - target.  ``_bisect_root`` is the fallback."""
+    1e-14 (1 + |t|); f = profile - target.  Raises RootBracketFailure when
+    a value or slope is not finite and positive, a step runs off past
+    _RUN_OFF, or _NEWTON_STEPS steps do not converge."""
     a, b = lo, hi = profile.lo, profile.hi
     t = profile._t_int if t is None else t
     last = None
@@ -255,7 +260,7 @@ def _solve_monotone(profile: _LogProfile, target: float, t=None, v=None) -> floa
         else:
             b = t
         slope = profile.deriv(t)
-        if not slope > 0:
+        if not 0.0 < slope < math.inf:
             break
         step = f / slope
         t_new = t - step
@@ -272,10 +277,12 @@ def _solve_monotone(profile: _LogProfile, target: float, t=None, v=None) -> floa
                 t_new = end + (t - end) * math.exp(-step / (t - end))
             if not a < t_new < b:
                 t_new = 0.5 * (a + b)
-        if not abs(t_new - profile._t_int) < 2.0 ** _WALK:
-            break       # beyond the fallback's reach: it raises
+        if not abs(t_new - profile._t_int) < _RUN_OFF:
+            break
         t = t_new
-    return _bisect_root(profile, target)
+    raise RootBracketFailure(
+        f"no converged height in gap ({profile.lo}, {profile.hi}) for target "
+        f"{target}; last height {t}")
 
 
 def _hermite_root(t0, f0, d0, t1, f1, d1):
@@ -287,34 +294,6 @@ def _hermite_root(t0, f0, d0, t1, f1, d1):
             + x * x * ((3.0 - 2.0 * x) * t1 - y * h / d1))
 
 
-def _bisect_root(profile: _LogProfile, target: float) -> float:
-    """Walk from the interior height toward each gap end until the profile
-    passes the target, then bisect."""
-    lo, hi, t0 = profile.lo, profile.hi, profile._t_int
-
-    def _find(side):
-        end = lo if side < 0 else hi
-        finite = math.isfinite(end)
-        step = abs(end - t0) / 4.0 if finite else 1.0
-        for _ in range(_WALK):
-            t = end - side * step if finite else t0 + side * step
-            if side * (profile.value(t) - target) > 0:
-                return t
-            step = step / 4.0 if finite else 2.0 * step
-        raise RootBracketFailure(
-            f"no bracket toward {'lower' if side < 0 else 'upper'} end "
-            f"of gap ({lo}, {hi}); target {target}")
-
-    a, b = _find(-1), _find(+1)
-    while b - a > 1e-14 * (1.0 + abs(a) + abs(b)):
-        m = 0.5 * (a + b)
-        if profile.value(m) < target:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
 # ---------------------------------------------------------------------------
 # Chart maps
 # ---------------------------------------------------------------------------
@@ -323,7 +302,7 @@ def _chart_constant(multiplier: Multiplier, profile: _LogProfile) -> complex:
     return multiplier.leading_at(profile.z0) * profile.factor
 
 
-def _coordinate(config, section, multiplier, point, eps, check_divisor=True):
+def _coordinate(config, section, multiplier, point, eps):
     p = point.zeta
     cls = class_of(config, p)
     if cls.is_fixed:
@@ -331,7 +310,7 @@ def _coordinate(config, section, multiplier, point, eps, check_divisor=True):
     if section.gap_at(p.z) != cls:
         raise SectionMismatch(
             f"point class {cls} is not the section's gap over {p.z}")
-    if check_divisor and multiplier.divisor != section_base_divisor(config, section):
+    if multiplier.divisor != section_base_divisor(config, section):
         raise WrongDivisor(
             f"multiplier divisor {multiplier.divisor.entries} does not match "
             f"the section divisor")

@@ -252,7 +252,7 @@ def _cmd_map_point(args):
 def _cmd_growth(args):
     if args.config:
         cfg = _load_config(args.config)
-    elif args.beta:
+    elif args.beta is not None:
         cfg = _load_config({"family": "power_law", "beta": args.beta,
                             "truncation": args.truncation})
     else:

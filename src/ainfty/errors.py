@@ -64,5 +64,6 @@ class FixedPointInput(AinftyError):
 
 
 class RootBracketFailure(AinftyError):
-    """Monotone root-finding could not bracket its target (should not happen
-    for admissible inputs; carries diagnostics)."""
+    """The chart solver could not converge to its target inside the gap
+    (should not happen for admissible inputs; the message names the gap,
+    the target and the last height)."""

@@ -191,14 +191,16 @@ def test_solver_round_trips_at_the_edges(cfg, section, t, z, monkeypatch):
     assert len(evals) <= 16
 
 
-def test_solver_raises_on_an_unbracketable_target():
-    # one center: log|f|^2 grows like log t up the base gap, so 1e4 is out
-    # of reach of any float height; Newton runs off, and the fallback's
-    # bracket search gives up
+@pytest.mark.parametrize("z, target", [(0j, 1e4), (1j, 1e4), (1j, -1e4)],
+                         ids=["axis_up", "off_axis_up", "off_axis_down"])
+def test_solver_raises_on_an_unbracketable_target(z, target):
+    # one center: log|f|^2 grows like log|t| toward an infinite gap end, so
+    # +-1e4 is out of reach of any float height; Newton runs off and the
+    # solver raises instead of overflowing
     cfg = finite_list([(1.0, 0j)])
-    profile = charts._LogProfile(cfg, 0j, base_section(cfg).gap_at(0j))
-    with pytest.raises(RootBracketFailure):
-        charts._solve_monotone(profile, 1e4)
+    profile = charts._LogProfile(cfg, z, base_section(cfg).gap_at(z))
+    with pytest.raises(RootBracketFailure, match="last height"):
+        charts._solve_monotone(profile, target)
 
 
 def test_inverse_examples():

@@ -206,6 +206,14 @@ def test_growth_rejects_bad_flags(flag, value, capsys):
     assert err.startswith(f"usage error: {flag} must be finite")
 
 
+@pytest.mark.parametrize("beta", ["0", "0.5"])
+def test_growth_rejects_a_bad_beta(beta, capsys):
+    # --beta 0 is given, not absent: it fails the configuration check
+    code, out, err = _run(capsys, ["growth", "--beta", beta])
+    assert code == 2 and not out
+    assert err.startswith("usage error: bad configuration: power law exponent must exceed 1")
+
+
 def test_verify_suite(capsys):
     # the suites the bench's cli workload runs
     for suite in ("core", "quotient", "isomorphism"):

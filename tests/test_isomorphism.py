@@ -7,8 +7,8 @@ import random
 import pytest
 
 from ainfty.charts import act, gauge_point
-from ainfty.config import finite_list, power_law
-from ainfty.errors import FixedPointInput, NotIsomorphic
+from ainfty.config import OMEGA_BOTH, finite_list, general_axial, power_law
+from ainfty.errors import FixedPointInput, NotIsomorphic, TailUnresolved
 from ainfty.geometry import ImHPoint
 from ainfty.isomorphism import (
     build_connecting_multiplier, build_isomorphism, build_order_isomorphism,
@@ -58,6 +58,26 @@ def test_order_iso_two_point_fibers():
     h = build_order_isomorphism(a, b, 5.0)
     assert h.match_index(0j, 1) == 1             # -4 <-> -3
     assert h.match_index(0j, 0) == 0             # -1 <-> -2
+
+
+def _two_sided(heights, window=10.0):
+    return general_axial([(-t, 0j) for t in heights], 10.0, {0j: OMEGA_BOTH},
+                         fiber_window=window)
+
+
+def test_order_iso_two_sided_fibers_anchor_at_the_least_nonnegative_point():
+    b = _two_sided((-4, -2, 0.5, 7, 8))
+    h = build_order_isomorphism(_two_sided((-3, -1, 2, 5)), b, 5.0)
+    assert [h.match_index(0j, n) for n in range(4)] == [0, 1, 2, 3]   # 2 <-> 0.5
+    # no finite window on one side: nothing certifies the anchor
+    h = build_order_isomorphism(_two_sided((-3, -1, 2, 5)), _two_sided((-4, 0.5), math.inf), 5.0)
+    with pytest.raises(TailUnresolved, match="certified window"):
+        h.match_index(0j, 0)
+    # -7 lies three below the anchor 2; b has two points below 0.5
+    h = build_order_isomorphism(_two_sided((-7, -3, -1, 2, 5)), b, 5.0)
+    assert h.match_index(0j, 1) == 0
+    with pytest.raises(TailUnresolved, match="below the enumerated window"):
+        h.match_index(0j, 0)
 
 
 def test_connecting_multiplier_trivial_for_power_laws():
