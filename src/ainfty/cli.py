@@ -24,7 +24,7 @@ from .quotient import base_section, class_of, section_divisor
 from .verification import SUITES, run_suites
 
 _CONFIG_SCHEMA = """config JSON schema:
-  {"family": "power_law", "beta": <float > 1>, "truncation": <int>,
+  {"family": "power_law", "beta": <finite float > 1>, "truncation": <int>,
    "max_truncation": <int, optional>}
   {"family": "finite", "centers": [[t, re, im], ...]}
 section JSON schema:

@@ -29,7 +29,10 @@ truncations.
 
 Combinatorial identity (fiber membership, base-point matching, divisor
 supports) uses exact float equality; tolerances appear only in numerical
-guards such as singular-point detection.
+guards such as singular-point detection.  So each center's height has one
+home: ``center(n)``, for an axial family ``a(n)``.  The arrays that sums
+run over hold the same values; the power law's are a memo of ``a(n)``, not
+a second formula that numpy's SIMD dispatch could round differently.
 """
 from __future__ import annotations
 
@@ -428,14 +431,12 @@ class CenterFamily:
 
     def center_arrays(self, n_centers: int):
         """Arrays (lr, lc) of the first ``n_centers`` centers."""
-        idx = self.index_range(n_centers)
-        lr = np.array([self.center(n)[0] for n in idx], dtype=float)
-        lc = np.array([self.center(n)[1] for n in idx], dtype=complex)
-        return lr, lc
+        pts = [self.center(n) for n in self.index_range(n_centers)]
+        return (np.array([p[0] for p in pts], dtype=float),
+                np.array([p[1] for p in pts], dtype=complex))
 
     def index_range(self, n_centers: int) -> range:
-        hi = n_centers if self.count is None else min(n_centers, self.count)
-        return range(self.n_first, self.n_first + hi)
+        return range(self.n_first, self.n_first + self.clamp(n_centers))
 
     def clamp(self, n_centers: int) -> int:
         return n_centers if self.count is None else min(n_centers, self.count)
@@ -620,13 +621,12 @@ class _AxialDecreasingFamily(CenterFamily):
         if z != 0:
             return None, None, None
         n = self._last_above(t, n_max)   # -a_n > t strictly, so only n+1 can hit
-        if n + 1 <= n_max and -self.a(n + 1) == t:
-            return None, None, n + 1
-        upper = (n, -self.a(n)) if n >= 1 else None
         if n + 1 > n_max:
             raise TailUnresolved(f"lower neighbor beyond max truncation {n_max}")
-        lower = (n + 1, -self.a(n + 1))
-        return lower, upper, None
+        below = -self.a(n + 1)
+        if below == t:
+            return None, None, n + 1
+        return (n + 1, below), ((n, -self.a(n)) if n >= 1 else None), None
 
     def fiber_from_top(self, z, k, n_max):
         if z != 0 or k > n_max:
@@ -654,35 +654,24 @@ class PowerLawFamily(_AxialDecreasingFamily):
     def __init__(self, beta: float):
         if not beta > 1:
             raise ValueError("power law exponent must exceed 1")
+        if not math.isfinite(beta):
+            raise ValueError("power law exponent must be finite")
         self.beta = float(beta)
+        self._heights = np.empty(0)
 
     def a(self, n: int) -> float:
         return float(n) ** self.beta
 
     def center_arrays(self, n_centers: int):
-        n = np.arange(1, n_centers + 1, dtype=float)
-        return n ** self.beta, np.zeros(n_centers, dtype=complex)
-
-    def _last_above(self, t: float, n_max: int) -> int:
-        """The generic search's answer from the guess (-t)^(1/beta),
-        corrected by exact comparisons with a_n.  The generic search raises
-        once it would double past n_max, which is exactly when a_h < -t for
-        the smallest power of two h >= 2 with 2h > n_max; it alone serves
-        guesses from n_max up (and nan)."""
-        if -t <= 1.0:           # a_1 = 1
-            return 0
-        guess = (-t) ** (1.0 / self.beta)
-        if not guess < n_max:
-            return super()._last_above(t, n_max)
-        n = int(guess)
-        while self.a(n + 1) < -t:
-            n += 1
-        while n > 1 and self.a(n) >= -t:
-            n -= 1
-        if 2 * n > n_max and n >= max(2, 1 << (n_max.bit_length() - 1)):
-            raise TailUnresolved(
-                f"fiber enumeration beyond max truncation {n_max} needed at height {t}")
-        return n
+        """A read-only prefix of the memo a(1), a(2), ..., which grows to the
+        next power of two when it is too short, one a(n) per new index."""
+        n_centers, have = int(n_centers), self._heights.size
+        if n_centers > have:
+            size = 1 << (n_centers - 1).bit_length()
+            new = np.fromiter(map(self.a, range(have + 1, size + 1)), float, size - have)
+            self._heights = np.concatenate((self._heights, new))
+            self._heights.flags.writeable = False
+        return self._heights[:n_centers], np.zeros(n_centers, dtype=complex)
 
     # --- sharp tails ------------------------------------------------------
 
@@ -724,10 +713,13 @@ class AxialMonotoneFamily(_AxialDecreasingFamily):
     def __init__(self, values: Callable[[int], float], growth=None):
         self.values = values
         if growth is not None:
-            c, gamma, n0 = growth
-            if not (c > 0 and gamma > 1 and n0 >= 1):
+            try:
+                c, gamma, n0 = (float(v) for v in growth)
+            except (TypeError, ValueError):
+                raise ValueError(f"growth {growth!r} is not a triple (c, gamma, n0)") from None
+            if not (c > 0 and gamma > 1 and 1 <= n0 < math.inf):
                 raise ValueError("growth minorant must satisfy c > 0, gamma > 1, n0 >= 1")
-            growth = (float(c), float(gamma), int(n0))
+            growth = (c, gamma, int(n0))
         self.growth = growth
 
     def a(self, n: int) -> float:
@@ -768,12 +760,6 @@ class FiniteListFamily(CenterFamily):
 
     def center(self, n: int):
         return self.centers[n]
-
-    def center_arrays(self, n_centers: int):
-        n = self.clamp(n_centers)
-        lr = np.array([c[0] for c in self.centers[:n]], dtype=float)
-        lc = np.array([c[1] for c in self.centers[:n]], dtype=complex)
-        return lr, lc
 
     def _fiber(self, z: complex):
         pts = [(i, -lr) for i, (lr, lc) in enumerate(self.centers) if -lc == z]

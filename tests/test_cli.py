@@ -206,12 +206,16 @@ def test_growth_rejects_bad_flags(flag, value, capsys):
     assert err.startswith(f"usage error: {flag} must be finite")
 
 
-@pytest.mark.parametrize("beta", ["0", "0.5"])
-def test_growth_rejects_a_bad_beta(beta, capsys):
-    # --beta 0 is given, not absent: it fails the configuration check
-    code, out, err = _run(capsys, ["growth", "--beta", beta])
+@pytest.mark.parametrize("beta, message", [
+    ("0", "must exceed 1"), ("0.5", "must exceed 1"), ("inf", "must be finite"),
+    ("1e400", "must be finite"),
+], ids=["0", "0.5", "inf", "1e400"])
+def test_growth_rejects_a_bad_beta(beta, message, capsys):
+    # --beta 0 is given, not absent: it fails the configuration check.  An
+    # infinite beta would put centers 2, 3, ... all at inf.
+    code, out, err = _run(capsys, ["growth", "--beta", beta, "--samples", "2000"])
     assert code == 2 and not out
-    assert err.startswith("usage error: bad configuration: power law exponent must exceed 1")
+    assert err.startswith(f"usage error: bad configuration: power law exponent {message}")
 
 
 def test_verify_suite(capsys):

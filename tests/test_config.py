@@ -1,21 +1,28 @@
 """Configuration, fiber, and tail checks."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ainfty
 from ainfty import config
 from ainfty.config import (
-    Finite, OMEGA_DOWN, config_digest, config_from_dict, config_to_dict,
-    delta_set, fiber, finite_list, general_axial, hurwitz_zeta, power_law,
+    Finite, OMEGA_DOWN, axial_monotone, config_digest, config_from_dict,
+    config_to_dict, delta_set, fiber, finite_list, general_axial, hurwitz_zeta, power_law,
     validate,
 )
 from ainfty.errors import TailUnresolved, UnknownOrderType
 from ainfty.geometry import ImHPoint
+from ainfty.quotient import class_of
 
 
 def test_power_law_valid():
@@ -373,3 +380,77 @@ def test_json_round_trip():
     assert config_digest(cfg) == config_digest(cfg2)
     cfg3 = config_from_dict(config_to_dict(finite_list([(1.0, 2 + 3j)])))
     assert cfg3.family.centers == ((1.0, 2 + 3j),)
+
+
+def test_power_law_rejects_a_non_finite_beta():
+    # JSON reads 1e400 as inf
+    for d in ({"family": "power_law", "beta": math.inf},
+              json.loads('{"family": "power_law", "beta": 1e400}')):
+        with pytest.raises(ValueError, match="power law exponent must be finite"):
+            config_from_dict(d)
+
+
+@pytest.mark.parametrize("growth", [2.0, (1.0, 2.0), (1.0, 2.0, 1, 4), "abc", (1.0, None, 1),
+                                    (1.0, 2.0, math.inf)])
+def test_axial_monotone_growth_must_be_a_triple(growth):
+    with pytest.raises(ValueError, match="growth"):
+        axial_monotone(lambda n: float(n * n), growth=growth)
+
+
+@pytest.mark.parametrize("beta", [1.25, 1.5, 2.5, 7.3])
+def test_power_law_arrays_hold_a_bit_for_bit(beta):
+    # the arrays are a memo of a(n), grown over several doublings: numpy's
+    # n ** beta differs from a(n) by one ulp at about 5% of n under AVX-512
+    cfg = power_law(beta)
+    fam = cfg.family
+    for n_centers in (10, 3000, 5000):
+        lr, lc = fam.center_arrays(n_centers)
+        assert lr.shape == lc.shape == (n_centers,) and not lc.any()
+        assert lr.tolist() == [fam.a(n) for n in range(1, n_centers + 1)]
+    for n in (1, 2, 7, 100, 2999, 3001, 5000):
+        assert class_of(cfg, ImHPoint(-lr[n - 1], 0j)).fixed == n
+    with pytest.raises(ValueError):
+        lr[0] = 0.0
+    with pytest.raises(ValueError):
+        cfg.center_arrays(64)[0][:] = 1.0
+
+
+@pytest.mark.parametrize("cfg", [
+    power_law(2.0), power_law(1.5), axial_monotone(lambda n: n ** 1.5 + 0.25 * n),
+    finite_list([(1.0, 2 + 1j), (-3.0, 0j), (0.1 + 0.2, -1j)]),
+    general_axial([(1.0, 1 + 0j), (-2.0, 1 + 0j), (3.0, -2j)], 5.0,
+                  {complex(-1): Finite(2), 2j: Finite(1)}),
+], ids=["power_law_2", "power_law_1.5", "axial_monotone", "finite_list", "general_axial"])
+def test_center_arrays_equal_center_bit_for_bit(cfg):
+    fam = cfg.family
+    n_centers = fam.clamp(300)
+    lr, lc = fam.center_arrays(300)
+    pts = [fam.center(n) for n in fam.index_range(300)]
+    assert len(pts) == lr.size == lc.size == n_centers
+    assert lr.tobytes() == np.array([p[0] for p in pts], dtype=float).tobytes()
+    assert lc.tobytes() == np.array([p[1] for p in pts], dtype=complex).tobytes()
+
+
+def _avx512_features():
+    """The AVX-512 dispatch targets numpy uses on this host."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return ""
+    return " ".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f))
+
+
+@pytest.mark.skipif(not _avx512_features(), reason="the host has no AVX-512 dispatch to turn off")
+def test_power_law_heights_do_not_depend_on_simd_dispatch():
+    # numpy's float power rounds differently with and without AVX-512; the
+    # heights come from Python's float power and must not
+    script = ("import sys\n"
+              "from ainfty.config import power_law\n"
+              "sys.stdout.buffer.write(power_law(1.5).family.center_arrays(100000)[0].tobytes())\n")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_avx512_features())
+    src = str(Path(ainfty.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == power_law(1.5).family.center_arrays(100000)[0].tobytes()

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty.config import PowerLawFamily, _AxialDecreasingFamily, finite_list, power_law
+from ainfty.config import PowerLawFamily, axial_monotone, finite_list, power_law
 from ainfty.errors import TailUnresolved
 from ainfty.geometry import ImHPoint
 from ainfty.quotient import (
@@ -150,33 +150,40 @@ def test_section_normalization():
     assert back == o
 
 
-def _search(last_above, fam, t, n_max):
-    try:
-        return last_above(fam, t, n_max)
-    except TailUnresolved:
-        return "raises"
+_SEARCH_FAMILIES = {
+    "power_law": PowerLawFamily(1.5),
+    "axial_monotone": axial_monotone(lambda n: n * math.sqrt(n) + 0.5 * math.log(n)).family,
+}
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(st.just(1.01), st.floats(1.01, 4.0)),
-       st.one_of(st.integers(1, 8), st.integers(1, 1 << 21)),
-       st.sampled_from(["any", "n_max", "power of two"]), st.integers(1, 1 << 22),
+@given(st.sampled_from(sorted(_SEARCH_FAMILIES)),
+       st.one_of(st.integers(1, 8), st.integers(1, 1 << 12)),
+       st.sampled_from(["any", "n_max", "raise point"]), st.integers(1, 1 << 13),
        st.integers(-2, 2), st.sampled_from(["hit", "below", "above", "between", "infinite"]),
        st.floats(0.0, 1.0))
-def test_power_law_neighbor_search_matches_generic(beta, n_max, anchor, k, shift, where, frac):
-    # the O(1) search of PowerLawFamily against the doubling and bisection
-    # of _AxialDecreasingFamily, at exact hits -n^beta, one ulp beside them,
-    # between them, near the max_truncation limit, where both raise, and
-    # at -inf
-    fam = PowerLawFamily(beta)
+def test_axial_neighbor_search_matches_brute_force(name, n_max, anchor, k, shift, where, frac):
+    # the doubling and bisection of _last_above (largest n with a_n < -t)
+    # against a linear scan of a(n), at exact hits -a_n, one ulp beside
+    # them, between them, near the max_truncation limit, and at -inf.  The
+    # search doubles from 2 while 2h <= n_max, so it raises exactly when
+    # a_P < -t for P, the smallest power of two >= 2 with 2P > n_max.
+    fam = _SEARCH_FAMILIES[name]
+    p = 2
+    while 2 * p <= n_max:
+        p *= 2
     if anchor == "n_max":
         k = n_max
-    elif anchor == "power of two":
-        k = 1 << max(n_max.bit_length() - 1, 1)
+    elif anchor == "raise point":
+        k = p
     k = max(1, k + shift)
     a = fam.a(k)
     t = {"hit": -a, "below": -math.nextafter(a, math.inf),
          "above": -math.nextafter(a, 0.0),
          "between": -(a + frac * (fam.a(k + 1) - a)), "infinite": -math.inf}[where]
-    assert (_search(PowerLawFamily._last_above, fam, t, n_max)
-            == _search(_AxialDecreasingFamily._last_above, fam, t, n_max)), (t, n_max)
+    if fam.a(p) < -t:
+        with pytest.raises(TailUnresolved):
+            fam._last_above(t, n_max)
+    else:
+        expected = max((n for n in range(1, p + 1) if fam.a(n) < -t), default=0)
+        assert fam._last_above(t, n_max) == expected, (t, n_max)
