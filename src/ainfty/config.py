@@ -443,7 +443,7 @@ class CenterFamily:
 
     # --- fibers (stored -lambda convention) ------------------------------
 
-    def fiber_bases(self, radius: float, n_centers: int) -> frozenset:
+    def fiber_bases(self, radius: float) -> frozenset:
         raise NotImplementedError
 
     def fiber_points_window(self, z: complex, lo: float, hi: float, n_max: int):
@@ -569,21 +569,24 @@ class _AxialDecreasingFamily(CenterFamily):
     def center(self, n: int):
         return self.a(n), 0j
 
-    def fiber_bases(self, radius, n_centers):
+    def fiber_bases(self, radius):
         return frozenset({0j}) if radius >= 0 else frozenset()
 
     def fiber_order_type(self, z):
         return OMEGA_DOWN if z == 0 else Finite(0)
 
     def _last_above(self, t: float, n_max: int) -> int:
-        """Largest n with -a_n > t, i.e. a_n < -t; 0 if none."""
+        """Largest n with -a_n > t, i.e. a_n < -t; 0 if none.  Raises
+        TailUnresolved iff a_n < -t at n = n_max, so the answer is below
+        n_max; a is evaluated at indices up to n_max only."""
         if self.a(1) >= -t:
             return 0
         lo, hi = 1, 2
-        while self.a(hi) < -t:
-            lo = hi
-            hi *= 2
-            if hi > n_max:
+        while hi < n_max and self.a(hi) < -t:
+            lo, hi = hi, 2 * hi
+        if hi >= n_max:
+            hi = n_max
+            if self.a(hi) < -t:
                 raise TailUnresolved(
                     f"fiber enumeration beyond max truncation {n_max} needed at height {t}")
         while hi - lo > 1:          # a_lo < -t <= a_hi
@@ -607,7 +610,7 @@ class _AxialDecreasingFamily(CenterFamily):
             out.append((n, -self.a(n)))
             n -= 1
         # include exact left endpoint if -a_{n_hi+1} == lo
-        if n_hi + 1 <= n_max and (t_next := -self.a(n_hi + 1)) == lo:
+        if (t_next := -self.a(n_hi + 1)) == lo:
             out.append((n_hi + 1, t_next))
         out.sort(key=lambda p: p[1])
         return out
@@ -621,8 +624,6 @@ class _AxialDecreasingFamily(CenterFamily):
         if z != 0:
             return None, None, None
         n = self._last_above(t, n_max)   # -a_n > t strictly, so only n+1 can hit
-        if n + 1 > n_max:
-            raise TailUnresolved(f"lower neighbor beyond max truncation {n_max}")
         below = -self.a(n + 1)
         if below == t:
             return None, None, n + 1
@@ -766,7 +767,7 @@ class FiniteListFamily(CenterFamily):
         pts.sort(key=lambda p: p[1])
         return pts
 
-    def fiber_bases(self, radius, n_centers):
+    def fiber_bases(self, radius):
         # 0j - lc, not -lc: an on-axis center gives the base 0j, not -0j
         return frozenset(0j - lc for lr, lc in self.centers if abs(lc) <= radius)
 
@@ -828,11 +829,11 @@ class GeneralAxialFiberedFamily(FiniteListFamily):
         self.fiber_window = float(fiber_window)
         self.tail_oracles = tail_oracles
 
-    def fiber_bases(self, radius, n_centers):
+    def fiber_bases(self, radius):
         if radius > self.base_radius:
             raise TailUnresolved(
                 f"fiber bases certified only inside radius {self.base_radius}")
-        return super().fiber_bases(radius, n_centers)
+        return super().fiber_bases(radius)
 
     def fiber_order_type(self, z):
         if z in self.order_types:
@@ -1028,7 +1029,7 @@ def delta_set(config: Configuration, disk_radius: float) -> frozenset:
     Raises TailUnresolved when the family cannot certify that no further
     bases enter the disk.
     """
-    return config.family.fiber_bases(disk_radius, config.max_truncation)
+    return config.family.fiber_bases(disk_radius)
 
 
 def fiber(config: Configuration, z: complex, window=None) -> Fiber:

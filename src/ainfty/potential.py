@@ -1,25 +1,26 @@
 """Certified evaluation of the harmonic potential, flow integrals, and the
 volume-growth experiment.
 
-The potential is Phi(zeta) = (1/4) sum_n 1/|zeta + lambda_n|.  One
-evaluator, ``_potential_sum``, forms the sum over the first N centers plus
-the family's tail estimate (``phi_tail``), vectorized over points; ``phi``,
-the integrand of ``flow_log_g``, ``radial_distance``, the growth batches
-``_phi_batch`` and the chart profile's derivative all call it.  One loop,
-``_refine``, picks N for every certified quantity here and in the chart
-profile: it doubles N through ``_grow`` until the caller's bound meets its
-tolerance, raising TailUnresolved once N reaches max_truncation.  It
-starts at the configuration's enumerated count, except in growth batches
-(``_phi_batch`` and the boundary tables): ``_octave_truncation`` starts at
-one center and picks, per radius octave of the points and from the
-nearest octave outward, the least N whose tail bound meets 15/16 of the
-batch's one tolerance (doubling, then bisection).  A growth batch's calls
-with N >= _TREE_MIN sum their centers by a treecode (``_cluster_sum``;
-Barnes and Hut 1986, Greengard and Rokhlin 1987): a binary tree over the
-sorted heights, whose nodes far from a point go by the order-16 Legendre
-expansion of the power-law tail with the node's moments as coefficients,
-within the other 1/16, and whose near leaves are summed directly.  Every
-other caller sums the first N centers directly.
+The potential is Phi(zeta) = (1/4) sum_n 1/|zeta + lambda_n|, a sum over
+the first N centers plus the family's tail estimate (``phi_tail``).  Two
+kernels form the sum, vectorized over points: ``_potential_sum`` for the
+certified calls (``phi``, the integrand of ``flow_log_g``,
+``radial_distance``, the chart profile's derivative), and ``_direct_sums``
+for the growth batches (``_phi_batch`` and the boundary tables), whose
+points may land on a center, with the floor that ``_octave_sums`` sets.
+One loop, ``_refine``, picks N for every certified quantity here and in
+the chart profile: it doubles N through ``_grow`` until the caller's bound
+meets its tolerance, raising TailUnresolved once N reaches max_truncation.
+It starts at the configuration's enumerated count, except in growth
+batches: ``_octave_truncation`` starts at one center and picks, per radius
+octave of the points and from the nearest octave outward, the least N
+whose tail bound meets 15/16 of the batch's one tolerance (doubling, then
+bisection).  Growth sums with N >= _TREE_MIN go by a treecode
+(``_cluster_sum``; Barnes and Hut 1986, Greengard and Rokhlin 1987): a
+binary tree over the sorted heights, whose nodes far from a point go by
+the order-16 Legendre expansion of the power-law tail with the node's
+moments as coefficients, within the other 1/16, and whose near leaves go
+through ``_direct_sums``.
 Flow quantities come in two deliberately independent routes:
 ``flow_log_g`` integrates Phi along a vertical segment on Gauss-Legendre
 panels (``quad``) sized by a Bernstein-ellipse error bound, while
@@ -137,18 +138,13 @@ def _refine(config: Configuration, accept, n=None):
     return out
 
 
-def _potential_sum(config: Configuration, n: int, t, z, centers=None,
-                   floor=None):
-    """The evaluator: sum_{k<=N} 1/|zeta + lambda_k| plus the family's tail
-    estimate at each point zeta = (t, z), for scalars or arrays of one
-    shape, and the tail error bound, one for all points.
+def _potential_sum(config: Configuration, n: int, t, z, centers=None):
+    """The kernel of certified calls: sum_{k<=N} 1/|zeta + lambda_k| plus
+    the family's tail estimate at each point zeta = (t, z), for scalars or
+    arrays of one shape, and the tail error bound, one for all points.
 
     ``centers`` passes the first N centers when the caller holds them.
-    Axial centers use c = |z| without forming z + lambda_c.  ``floor``,
-    the points' |zeta| as a flat array, clamps every distance to
-    1e-9 (1 + |zeta|), for growth samples that may land on a center.  On
-    an axial row with c >= 2e-9 (1 + |zeta|) every distance is at least
-    c (1 - 2u) and above that floor, so only the other rows are clamped.
+    Axial centers use c = |z| without forming z + lambda_c.
 
     The points go in blocks of about _BLOCK elements (rows of N terms),
     each summed in place in one reused, cache-sized buffer, in the
@@ -161,14 +157,9 @@ def _potential_sum(config: Configuration, n: int, t, z, centers=None,
     z = np.asarray(z)
     tv, zv = t.reshape(-1), z.reshape(-1)
     axial = not lc.any()
-    clamped = None
     if axial:
         c2 = np.abs(zv)
-        if floor is not None:
-            clamped = np.flatnonzero(c2 < 2e-9 * (1.0 + floor))
         c2 *= c2
-    elif floor is not None:
-        clamped = np.arange(tv.size)
     out = np.empty(tv.shape)
     rows = max(1, _BLOCK // max(lr.size, 1))
     buf = np.empty(min(rows, tv.size) * lr.size)
@@ -183,10 +174,6 @@ def _potential_sum(config: Configuration, n: int, t, z, centers=None,
             ck = np.abs(zv[a:b, None] + lc[None, :])
             s += ck * ck
         np.sqrt(s, out=s)
-        if clamped is not None:
-            k = clamped[np.searchsorted(clamped, a):np.searchsorted(clamped, b)]
-            if k.size:
-                s[k - a] = np.maximum(s[k - a], 1e-9 * (1.0 + floor[k, None]))
         np.reciprocal(s, out=s)
         np.sum(s, axis=1, out=out[a:b])
     est, err = fam.phi_tail(n, t, z)
@@ -255,7 +242,7 @@ def _bernstein_bound(lr, c2, lo, hi):
     h = 0.5 * (hi - lo)
     out = np.empty_like(h)
     dist = np.empty_like(h)
-    rows = max(1, 1_000_000 // max(lr.size, 1))
+    rows = max(1, _BLOCK // max(lr.size, 1))
     for i in range(0, h.size, rows):
         j = min(i + rows, h.size)
         a_k = np.sqrt((lo[i:j, None] + lr) ** 2 + c2)
@@ -579,7 +566,7 @@ def _cluster_tree(lr, b: float):
     lowest of at most _START nodes.  Per node: midpoint m, half-width w,
     squared far radius dc2 for an error of at most b per center
     (``_far_ratios``; a far node's centers are at least 2e-9 (1 + |m| + w)
-    away, so no floor clamp of ``_potential_sum`` binds on them), and the
+    away, so the floor of ``_octave_sums`` binds on none of them), and the
     moments q_l = sum ((h - m)/w)^l as rows.  leaves holds h in rows of
     _LEAF, padded with inf."""
     h = np.sort(lr)
@@ -614,21 +601,20 @@ def _cluster_tree(lr, b: float):
     return m, w, dc2, q, offs, leaves.reshape(-1, _LEAF)
 
 
-def _cluster_sum(config: Configuration, n: int, tree, t, c, r):
-    """The kernel's sum at the axial points (t, c), c = |z| >= 0, of radii
-    r (1-D arrays) over the first n centers, by the treecode on their
-    ``_cluster_tree``, plus the tail estimate past them.
+def _cluster_sum(tree, t, c, fl):
+    """The kernel's sums at the axial points (t, c), c = |z| >= 0 (1-D
+    arrays), over the centers of a ``_cluster_tree`` with the floor fl of
+    ``_octave_sums``, by the treecode.
 
     Each point descends the tree from its top level: a node far from the
     point adds its order-L expansion (``_legendre_sum`` with the node's
     moments as per-pair coefficients), a near one passes the point to its
-    children, and a near leaf adds its direct sum, with the floor clamp of
-    ``_potential_sum``.  Points go in blocks of about _PAIRS top-level
-    pairs.  Each point's nodes, and the order in which its terms add up,
-    depend on the point alone, so its value does not depend on the other
-    points or on any blocking."""
+    children, and a near leaf adds its direct sum (``_direct_sums``).
+    Points go in blocks of about _PAIRS top-level pairs.  Each point's
+    nodes, and the order in which its terms add up, depend on the point
+    alone, so its value does not depend on the other points or on any
+    blocking."""
     m, w, dc2, q, offs, leaves = tree
-    fl = np.where(c < 2e-9 * (1.0 + r), 1e-9 * (1.0 + r), 0.0)
     top = len(offs) - 2
     out = np.empty(t.size)
     step = max(1, _PAIRS // (offs[-1] - offs[-2]))
@@ -652,9 +638,8 @@ def _cluster_sum(config: Configuration, n: int, tree, t, c, r):
                     pt, nd = pt[keep], nd[keep]
         fp, fn, fdt, fd2 = (np.concatenate(x) for x in zip(*far_pairs))
         vals = np.concatenate([_expansions(q, w, fn, fdt, fd2),
-                               _leaf_sums(leaves, nd, tb[pt], c2[pt], fl[a:a + step][pt])])
+                               _direct_sums(tb[pt], c2[pt], fl[a:a + step][pt], leaves, nd)])
         out[a:a + step] = np.bincount(np.concatenate([fp, pt]), vals, tb.size)
-    out += np.ravel(config.family.phi_tail(n, t, c)[0])
     return out
 
 
@@ -677,18 +662,23 @@ def _expansions(q, w, nd, dt, d2):
     return out
 
 
-def _leaf_sums(leaves, nd, t, c2, fl):
-    """Direct sums of the near leaves nd at the points (t, c2 = c^2), with
-    distances clamped to fl where fl > 0, in blocks of about _BLOCK terms
-    in one reused buffer (padded leaf slots hold inf and add 0)."""
-    rows = max(1, _BLOCK // _LEAF)
-    out = np.empty(nd.size)
-    buf = np.empty(min(rows, nd.size) * _LEAF)
-    for a in range(0, nd.size, rows):
-        b = min(a + rows, nd.size)
-        s = buf[:(b - a) * _LEAF].reshape(b - a, _LEAF)
-        np.take(leaves, nd[a:b], axis=0, out=s)
-        s += t[a:b, None]
+def _direct_sums(t, c2, fl, h, nd=None):
+    """The growth kernel: sums of 1/max(|(t + h_k, c)|, fl) at the points
+    (t, c2 = c^2), 1-D arrays, over the heights h of every point, or with
+    nd over each point's row h[nd] of a 2-D h (inf adds 0), in blocks of
+    about _BLOCK terms in one reused buffer; no row depends on its block."""
+    width = h.shape[-1]
+    rows = max(1, _BLOCK // max(width, 1))
+    out = np.empty(t.size)
+    buf = np.empty(min(rows, t.size) * width)
+    for a in range(0, t.size, rows):
+        b = min(a + rows, t.size)
+        s = buf[:(b - a) * width].reshape(b - a, width)
+        if nd is None:
+            np.add(t[a:b, None], h, out=s)
+        else:
+            np.take(h, nd[a:b], axis=0, out=s)
+            s += t[a:b, None]
         s *= s
         s += c2[a:b, None]
         np.sqrt(s, out=s)
@@ -700,33 +690,40 @@ def _leaf_sums(leaves, nd, t, c2, fl):
     return out
 
 
+def _truncated_sums(config: Configuration, m: int, t, c, fl, lr, share: float, trees):
+    """The sums of ``_octave_sums`` at the points of one truncation m: over
+    the first m heights lr, directly below _TREE_MIN and from it on by the
+    treecode on ``trees[m]``, within 4 share (share on the potential),
+    plus the tail estimate past them."""
+    if m < _TREE_MIN:
+        out = _direct_sums(t, c * c, fl, lr[:m])
+    else:
+        if m not in trees:
+            trees[m] = _cluster_tree(lr[:m], 4.0 * share / m)
+        out = _cluster_sum(trees[m], t, c, fl)
+    out += np.ravel(config.family.phi_tail(m, t, c)[0])
+    return out
+
+
 def _octave_sums(config: Configuration, n_at, octave, share, t, c, r, centers=None,
                  trees=None):
     """The kernel's sums at the axial points (t, c), c = |z| >= 0, of radii
     r (arrays of one shape), each point at its truncation from
-    ``_octave_truncation`` (n_at, octave, share): one call per distinct N
-    of their octaves, on prefixes of ``centers`` (default the first n_at[0]
-    centers; octave 0 holds rmax).  A call is the treecode
-    (``_cluster_sum``) from N = _TREE_MIN on, with the clusters' error at
-    most share / 4 at each point (a quarter of the sum is the potential),
-    and the kernel below.  ``trees`` keeps the trees by N, for callers
-    that pass the same centers and share again."""
+    ``_octave_truncation`` (n_at, octave, share): one ``_truncated_sums``
+    call per distinct N of their octaves, on prefixes of ``centers``
+    (default the first n_at[0] centers; octave 0 holds rmax), whose trees
+    ``trees`` keeps by N.  A point may land on a center: where c <
+    2e-9 (1 + r) the floor fl = 1e-9 (1 + r) clamps its distances, and
+    elsewhere, each at least c (1 - 2u), fl = 0."""
     trees = {} if trees is None else trees
-    lr, lc = config.family.center_arrays(int(n_at[0])) if centers is None else centers
-
-    def sums(m, t, c, r):
-        if m < _TREE_MIN:
-            return _potential_sum(config, m, t, c, (lr[:m], lc[:m]), floor=r)[0]
-        if m not in trees:
-            trees[m] = _cluster_tree(lr[:m], 4.0 * share / m)
-        return _cluster_sum(config, m, trees[m], t, c, r)
-
+    lr = (config.family.center_arrays(int(n_at[0])) if centers is None else centers)[0]
     t, c, rv, octave = t.ravel(), c.ravel(), r.ravel(), octave.ravel()
+    fl = np.where(c < 2e-9 * (1.0 + rv), 1e-9 * (1.0 + rv), 0.0)
     n_pt = n_at[octave]
     total = np.empty(rv.shape)
     for m in np.unique(n_at[np.flatnonzero(np.bincount(octave))]).tolist():
         idx = np.flatnonzero(n_pt == m)
-        total[idx] = sums(m, t[idx], c[idx], rv[idx])
+        total[idx] = _truncated_sums(config, m, t[idx], c[idx], fl[idx], lr, share, trees)
     return total.reshape(r.shape)
 
 

@@ -159,12 +159,12 @@ def test_phi_batch_truncation_per_octave(monkeypatch):
     t = np.array([0.0, -4.0] + [r * math.cos(a) for r, a in polar])
     c = np.array([0.0, 0.0] + [r * math.sin(a) for r, a in polar])
     calls = []
-    kernel = potential._potential_sum
+    sums = potential._truncated_sums
 
-    def spy(config, n, t, z, *args, **kwargs):
-        calls.append((n, np.hypot(t, z).min()))
-        return kernel(config, n, t, z, *args, **kwargs)
-    monkeypatch.setattr(potential, "_potential_sum", spy)
+    def spy(config, n, t, c, *args):
+        calls.append((n, np.hypot(t, c).min()))
+        return sums(config, n, t, c, *args)
+    monkeypatch.setattr(potential, "_truncated_sums", spy)
     vals = _phi_batch(cfg, t, c)
 
     n_nearest = min(n for n, r in calls if r == 0.0)
@@ -189,12 +189,12 @@ def test_phi_batch_least_truncation_per_octave(beta, monkeypatch):
     angle = rng.uniform(0.0, math.pi, 240)
     t, c = r * np.cos(angle), r * np.sin(angle)
     calls = []
-    kernel = potential._potential_sum
+    sums = potential._truncated_sums
 
-    def spy(config, n, t, z, *args, **kwargs):
-        calls.append((n, np.hypot(t, z)))
-        return kernel(config, n, t, z, *args, **kwargs)
-    monkeypatch.setattr(potential, "_potential_sum", spy)
+    def spy(config, n, t, c, *args):
+        calls.append((n, np.hypot(t, c)))
+        return sums(config, n, t, c, *args)
+    monkeypatch.setattr(potential, "_truncated_sums", spy)
     vals = _phi_batch(cfg, t, c)
     monkeypatch.undo()
 
@@ -209,14 +209,15 @@ def test_phi_batch_least_truncation_per_octave(beta, monkeypatch):
             outer = math.ldexp(rmax, -k)
             assert bound(n, outer, 0.0) / 4.0 <= tail_tol
             assert n == 1 or bound(n - 1, outer, 0.0) / 4.0 > tail_tol
-    ref, _ = potential._potential_sum(cfg, 1 << 16, t, c, floor=np.hypot(t, c))
+    ref = _kernel_rows(cfg, 1 << 16, t, c, floor=np.hypot(t, c))
     assert np.all(np.abs(vals - ref / 4.0) <= tol + potential._rounding_slop(vals))
 
 
 def _kernel_rows(config, n, t, z, floor=None):
-    """The reference for ``_potential_sum``: each point's terms formed and
-    summed one row at a time, the floor clamp on every row, plus the
-    kernel's tail estimate for the batch."""
+    """The reference for ``_potential_sum`` and, with the floor, for the
+    growth kernel: each point's terms formed and summed one row at a time,
+    the floor clamp on every row, plus the kernel's tail estimate for the
+    batch."""
     lr, lc = config.family.center_arrays(n)
     total = np.empty(len(t))
     for i, (ti, zi) in enumerate(zip(t, z)):
@@ -237,27 +238,52 @@ def test_kernel_matches_rows_bit_for_bit(monkeypatch):
     t, c = rng.uniform(-60.0, 60.0, 400), rng.uniform(0.0, 40.0, 400)
     total, _ = potential._potential_sum(cfg, n, t, c)
     assert np.array_equal(total, _kernel_rows(cfg, n, t, c))
-    # samples on a center (the floor binds) and with c just below, at and
-    # just above the elision threshold 2e-9 (1 + |zeta|), a center's
-    # distance away, next to the random ones
-    t[:6] = [-4.0, -1.0, -9.0, -9.0, -9.0, -9.0]
-    c[:6] = 0.0
-    c[2:6] = 2e-9 * (1.0 + 9.0) * np.array([0.4, 1 - 1e-15, 1.0, 1 + 1e-15])
-    r = np.hypot(t, c)
-    total, _ = potential._potential_sum(cfg, n, t, c, floor=r)
-    assert np.array_equal(total, _kernel_rows(cfg, n, t, c, floor=r))
-    assert total[0] > 1e8 and total[1] > 1e8 and total[2] > 1e8
-    # off the axis every row is clamped: one sample on the center at
-    # (0, 1j), another 1e-10 from it; blocks of 1000 rows
+    # off the axis, blocks of 1000 rows; one sample 1e-10 from the center
+    # at (0, 1j)
     monkeypatch.setattr(potential, "_BLOCK", 3000)
     fin = finite_list([(0.0, 1j), (1.0, 0j), (-2.0, 2 + 1j)])
     t = rng.uniform(-3.0, 3.0, 3500)
     z = rng.uniform(-3.0, 3.0, 3500) + 1j * rng.uniform(-3.0, 3.0, 3500)
-    t[:2], z[:2] = 0.0, [-1j, -1j + 1e-10]
-    r = np.hypot(t, np.abs(z))
-    total, _ = potential._potential_sum(fin, 3, t, z, floor=r)
-    assert np.array_equal(total, _kernel_rows(fin, 3, t, z, floor=r))
-    assert total[0] > 4e8 and total[1] > 4e8
+    t[1], z[1] = 0.0, -1j + 1e-10
+    total, _ = potential._potential_sum(fin, 3, t, z)
+    assert np.array_equal(total, _kernel_rows(fin, 3, t, z))
+    assert total[1] > 4e8
+
+
+def test_growth_kernel_matches_rows_bit_for_bit(monkeypatch):
+    # the growth kernel with the floor of _octave_sums, row by row, on
+    # heights shared by every point and on leaf rows padded with inf:
+    # samples on a center (the floor binds) and with c just below, at and
+    # just above the threshold 2e-9 (1 + |zeta|), a center's distance
+    # away, next to the random ones; blocks of 10 and 15 rows, the special
+    # samples on both sides of the row 30 where new blocks start
+    monkeypatch.setattr(potential, "_BLOCK", 1000)
+    rng = np.random.default_rng(11)
+    cfg, n = power_law(2.0), 100
+    t, c = rng.uniform(-3000.0, 3000.0, 400), rng.uniform(0.0, 2000.0, 400)
+    at = np.arange(28, 34)
+    t[at] = [-4.0, -1.0, -9.0, -9.0, -9.0, -9.0]
+    c[at] = 0.0
+    c[at[2:]] = 2e-9 * (1.0 + 9.0) * np.array([0.4, 1 - 1e-15, 1.0, 1 + 1e-15])
+    r = np.hypot(t, c)
+    fl = np.where(c < 2e-9 * (1.0 + r), 1e-9 * (1.0 + r), 0.0)
+    assert np.array_equal(np.flatnonzero(fl), at[:4])
+    lr, _ = cfg.family.center_arrays(n)
+    total = potential._direct_sums(t, c * c, fl, lr) + cfg.family.phi_tail(n, t, c)[0]
+    assert np.array_equal(total, _kernel_rows(cfg, n, t, c, floor=r))
+    assert np.all(total[at[:3]] > 1e8)
+    # two leaves of 64 slots, the second holding 36 centers and 28 inf
+    leaves = potential._cluster_tree(lr, 1e-9)[-1]
+    assert leaves.shape == (2, 64) and np.isinf(leaves[1, 36:]).all()
+    nd = rng.integers(0, 2, t.size)
+    nd[at] = 0
+    ref = np.empty(t.size)
+    for i, (ti, ci, ri) in enumerate(zip(t, c, r)):
+        s = (ti + leaves[nd[i]]) * (ti + leaves[nd[i]])
+        s += ci * ci
+        ref[i] = np.sum(1.0 / np.maximum(np.sqrt(s), 1e-9 * (1.0 + ri)))
+    assert np.array_equal(potential._direct_sums(t, c * c, fl, leaves, nd), ref)
+    assert np.all(ref[at[:3]] > 1e8)
 
 
 @pytest.mark.parametrize("config", [
@@ -344,7 +370,7 @@ def test_phi_batch_clusters_within_tolerance(beta, rmax, seed):
     assert sum(expansions) > 0
     r = np.hypot(t, c)
     tol = 1e-5 / (4.0 * (r.max() + 1.0 + 1.0))
-    ref, _ = potential._potential_sum(cfg, 1 << 16, t, c, floor=r)
+    ref = _kernel_rows(cfg, 1 << 16, t, c, floor=r)
     assert np.all(np.abs(vals - ref / 4.0) <= tol + potential._rounding_slop(vals))
     # the clusters alone stay within their share, against the kernel's
     # direct sum of the same centers
@@ -354,7 +380,7 @@ def test_phi_batch_clusters_within_tolerance(beta, rmax, seed):
     direct = np.empty(r.size)
     for n in np.unique(n_pt).tolist():
         idx = np.flatnonzero(n_pt == n)
-        direct[idx], _ = potential._potential_sum(cfg, n, t[idx], c[idx], floor=r[idx])
+        direct[idx] = _kernel_rows(cfg, n, t[idx], c[idx], floor=r[idx])
     assert np.all(np.abs(vals - direct / 4.0) <= share + potential._rounding_slop(vals))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(t.size)
@@ -369,12 +395,12 @@ def test_growth_fit_equal_with_smaller_blocks(monkeypatch):
     # the blocks of the kernel, the expansions and the leaves (_BLOCK) and of
     # the treecode's points (_PAIRS)
     calls = []
-    tree = potential._cluster_sum
+    sums = potential._truncated_sums
 
     def spy(config, n, *args):
         calls.append(n)
-        return tree(config, n, *args)
-    monkeypatch.setattr(potential, "_cluster_sum", spy)
+        return sums(config, n, *args)
+    monkeypatch.setattr(potential, "_truncated_sums", spy)
     args = (power_law(2.0), np.geomspace(1e2, 1e4, 9), 20_000, 3)
     fit = growth_exponent(*args)
     assert max(calls) >= potential._TREE_MIN
@@ -763,14 +789,14 @@ def test_growth_fit_equal_with_full_grid_tables(monkeypatch):
 
 
 def _record_sums(monkeypatch, record):
-    """Call record(n, points) on every call of the kernel and the treecode."""
-    def recording(kernel, at):      # args[at] holds the points' t
-        def call(config, n, *args, **kwargs):
-            record(n, np.size(args[at]))
-            return kernel(config, n, *args, **kwargs)
-        return call
-    monkeypatch.setattr(potential, "_potential_sum", recording(potential._potential_sum, 0))
-    monkeypatch.setattr(potential, "_cluster_sum", recording(potential._cluster_sum, 1))
+    """Call record(n, points) on every sum of a growth batch's points at
+    one truncation, by the kernel or the treecode."""
+    sums = potential._truncated_sums
+
+    def call(config, n, t, *args):
+        record(n, np.size(t))
+        return sums(config, n, t, *args)
+    monkeypatch.setattr(potential, "_truncated_sums", call)
 
 
 def test_boundary_tables_skip_nodes_past_the_crossing(monkeypatch):

@@ -159,31 +159,49 @@ _SEARCH_FAMILIES = {
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(_SEARCH_FAMILIES)),
        st.one_of(st.integers(1, 8), st.integers(1, 1 << 12)),
-       st.sampled_from(["any", "n_max", "raise point"]), st.integers(1, 1 << 13),
+       st.sampled_from(["any", "n_max", "last doubling"]), st.integers(1, 1 << 13),
        st.integers(-2, 2), st.sampled_from(["hit", "below", "above", "between", "infinite"]),
        st.floats(0.0, 1.0))
 def test_axial_neighbor_search_matches_brute_force(name, n_max, anchor, k, shift, where, frac):
     # the doubling and bisection of _last_above (largest n with a_n < -t)
     # against a linear scan of a(n), at exact hits -a_n, one ulp beside
-    # them, between them, near the max_truncation limit, and at -inf.  The
-    # search doubles from 2 while 2h <= n_max, so it raises exactly when
-    # a_P < -t for P, the smallest power of two >= 2 with 2P > n_max.
+    # them, between them, near the max_truncation limit and the last
+    # doubling below it, and at -inf.  The doubling stops at n_max, so the
+    # search raises exactly when a_(n_max) < -t, and it evaluates a(n) at
+    # n <= n_max only.
     fam = _SEARCH_FAMILIES[name]
-    p = 2
+    p = 1
     while 2 * p <= n_max:
         p *= 2
     if anchor == "n_max":
         k = n_max
-    elif anchor == "raise point":
+    elif anchor == "last doubling":
         k = p
     k = max(1, k + shift)
     a = fam.a(k)
     t = {"hit": -a, "below": -math.nextafter(a, math.inf),
          "above": -math.nextafter(a, 0.0),
          "between": -(a + frac * (fam.a(k + 1) - a)), "infinite": -math.inf}[where]
-    if fam.a(p) < -t:
-        with pytest.raises(TailUnresolved):
-            fam._last_above(t, n_max)
-    else:
-        expected = max((n for n in range(1, p + 1) if fam.a(n) < -t), default=0)
-        assert fam._last_above(t, n_max) == expected, (t, n_max)
+    raises = fam.a(n_max) < -t
+    expected = max((n for n in range(1, n_max + 1) if fam.a(n) < -t), default=0)
+    seen = []
+
+    def spy(n):
+        seen.append(n)
+        return type(fam).a(fam, n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fam, "a", spy)
+        if raises:
+            with pytest.raises(TailUnresolved):
+                fam._last_above(t, n_max)
+        else:
+            assert fam._last_above(t, n_max) == expected, (t, n_max)
+    assert max(seen) <= n_max
+
+
+def test_class_of_below_a_max_truncation_that_is_not_a_power_of_two():
+    # the gap lies below max_truncation = 1000, though the search's next
+    # doubling, 1024, is past it
+    cfg = power_law(2.0, truncation=16, max_truncation=1000)
+    c = class_of(cfg, ImHPoint(-360000.5, 0j))
+    assert (c.fixed, c.lower, c.upper) == (None, 601, 600)
