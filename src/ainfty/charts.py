@@ -14,8 +14,9 @@ affected fiber terms in raw (unnormalized) form.
 
 Heights come back by Newton on the gap's log-modulus profile
 (``_solve_monotone``).  For the power law the profile's log-product tail,
-a Hurwitz zeta series of order 9, meets its tolerance at the enumerated
-truncation near the origin, so each call builds its profile once.
+the integral in t of the potential tail's Legendre series, meets its
+tolerance at the enumerated truncation near the origin, so each call
+builds its profile once.
 
 Gauge: the fiber phase theta of a ManifoldPoint is the argument of the base
 coordinate on base-section gaps and of the regrouped product on deviated

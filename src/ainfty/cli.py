@@ -89,6 +89,13 @@ def _parse_complex(text):
     return complex(float(parts[0]), float(parts[1]))
 
 
+def _check_disk(radius, what="--disk"):
+    """The disk radius, when it is a number >= 0 (inf allowed)."""
+    if not radius >= 0:
+        raise UsageError(f"{what} must be nonnegative, got {radius!r}")
+    return radius
+
+
 def _manifest(command, args, configs):
     m = {"command": command, "version": __version__,
          "configs": {k: config_digest(v) for k, v in configs.items()}}
@@ -170,7 +177,7 @@ def _cmd_k_divisor(args):
     cfg = _load_config(args.config)
     s1 = _load_section(cfg, args.section_a)
     s2 = _load_section(cfg, args.section_b)
-    div = section_divisor(cfg, s1, s2, args.disk)
+    div = section_divisor(cfg, s1, s2, _check_disk(args.disk))
     _json_out(args, _manifest("k-divisor", args, {"config": cfg}),
               {"divisor": [{"z": _cx(z), "k": k} for z, k in div.entries]})
     return 0
@@ -217,7 +224,7 @@ def _cmd_transition(args):
 def _cmd_isom(args):
     ca = _load_config(args.config_a)
     cb = _load_config(args.config_b)
-    cert = isomorphism_exists(ca, cb, args.disk, allow_shift=not args.no_shift)
+    cert = isomorphism_exists(ca, cb, _check_disk(args.disk), allow_shift=not args.no_shift)
     _json_out(args, _manifest("isom", args, {"config_a": ca, "config_b": cb}), {
         "isomorphic": cert.isomorphic,
         "shift": _cx(cert.shift),
@@ -234,9 +241,9 @@ def _cmd_map_point(args):
     try:
         ca = _load_config(iso["config_a"])
         cb = _load_config(iso["config_b"])
-        disk = float(iso["disk"])
+        disk = _check_disk(float(iso["disk"]), "the iso file's disk")
         allow_shift = bool(iso.get("allow_shift", True))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad iso file: {exc}")
     data = build_isomorphism(ca, cb, disk, allow_shift)
     vals = _parse_point(args.point, with_theta=True)

@@ -23,9 +23,9 @@ whose remainders and rounding are certified: the potential tail is the
 axisymmetric multipole (Legendre) series of order _LEGENDRE_ORDER, whose
 coefficients are scaled ``hurwitz_zeta`` values that do not underflow and
 which converges while the radius stays below (N + 1)^beta, and the log
-product and flow tails are Hurwitz zeta series of order _LOG_ORDER.  The
-coarse 1/N bounds alone cannot certify tolerances near 1e-10 at sane
-truncations.
+product and flow tails are its term-by-term integral in t, on the same
+coefficients and with the same radius of convergence.  The coarse 1/N
+bounds alone cannot certify tolerances near 1e-10 at sane truncations.
 
 Combinatorial identity (fiber membership, base-point matching, divisor
 supports) uses exact float equality; tolerances appear only in numerical
@@ -47,11 +47,6 @@ import numpy as np
 
 from .errors import TailUnresolved, UnknownOrderType
 from .geometry import ImHPoint, as_point
-
-
-def _binom_half(k: int) -> float:
-    # binom(-1/2, k) = (-1)^k C(2k, k) / 4^k, all |.| <= 1
-    return (-1.0) ** k * math.comb(2 * k, k) / 4.0 ** k
 
 
 # (2k)! / B_2k for the Euler-Maclaurin corrections of ``hurwitz_zeta``
@@ -124,18 +119,6 @@ def _cephes_zeta(x: float, q: float, scale: float) -> float:
     return s
 
 
-def _zeta_value(s: float, a: int) -> float:
-    """The Hurwitz zeta value zeta(s, a) from the module's current
-    ``hurwitz_zeta``, memoized per (s, a)."""
-    return _zeta_memo(hurwitz_zeta, s, a)
-
-
-@functools.lru_cache(maxsize=4096)
-def _zeta_memo(fn, s: float, a: int) -> float:
-    # keyed on fn too, so that a replaced hurwitz_zeta is called, not bypassed
-    return float(fn(s, a))
-
-
 # Elements in one block of the vectorized kernels (about 1 MB of float64,
 # so that a block stays in cache); the potential kernel uses it too.
 _BLOCK = 1 << 17
@@ -164,14 +147,16 @@ _ALPHA = _majorants(_LEGENDRE_ORDER)
 def _legendre_coeffs(fn, beta: float, n_centers: int):
     """Z_l = s0^(l+1) zeta((l+1) beta, N + 1) = sum_{n>N} (s0/n^beta)^(l+1),
     s0 = (N + 1)^beta, for l <= _LEGENDRE_ORDER, as a tuple of the scaled
-    values of the zeta function fn.  Keyed on fn, as ``_zeta_memo`` is."""
+    values of the zeta function fn, the one zeta memo of both power-law
+    tails.  Keyed on fn, so that a replaced ``hurwitz_zeta`` (a tracer) is
+    called, not bypassed."""
     return tuple(fn((l + 1) * beta, n_centers + 1, scaled=True)
                  for l in range(_LEGENDRE_ORDER + 1))
 
 
-def _legendre_rounding(beta: float, n_centers: int, rho: float) -> float:
-    """The rounding term of ``_legendre_tail`` at points whose y and
-    sqrt(w) are at most rho.
+def _legendre_rounding(beta: float, n_centers: int, rho: float, log: bool = False) -> float:
+    """The rounding term of ``_legendre_tail``, or with ``log`` of
+    ``_log_tail``, at points whose y and sqrt(w) are at most rho.
 
     After Higham (Accuracy and Stability of Numerical Algorithms, 3.1 and
     5.1), with u = 2^-53: the recurrence moves R_l by at most
@@ -183,13 +168,20 @@ def _legendre_rounding(beta: float, n_centers: int, rho: float) -> float:
     (the first term plus the integral of the rest) all of it stays below
     kappa = 16 L + 64 + 2 (L + 1) beta units u of Zb_0 alpha_l rho^l / s0
     on the l-th term.  Underflow adds at most 2^-1000 Zb_0 / s0 and 256
-    subnormal units."""
+    subnormal units.
+
+    The log series has the terms l = 1..L only, with coefficients -Z_{l-1}/l,
+    also at most Zb_0 and off by fewer ulps (one more for the division), and
+    no division by s0: the same kappa covers it, with s0 taken as 1 and no
+    l = 0 term, so its rounding term vanishes with rho but for underflow."""
     a = float(n_centers + 1)
-    s0 = a ** beta
+    s0 = 1.0 if log else a ** beta
     zb0 = 1.0 + a / (beta - 1.0)
     poly = 0.0
-    for alpha in reversed(_ALPHA):
+    for alpha in reversed(_ALPHA[1:] if log else _ALPHA):
         poly = poly * rho + alpha
+    if log:
+        poly *= rho
     kappa = (16 * _LEGENDRE_ORDER + 64 + 2 * (_LEGENDRE_ORDER + 1) * beta) * _MACHEP
     return kappa * zb0 * poly / s0 + math.ldexp(zb0 / s0, -1000) + 256.0 * math.ulp(0.0)
 
@@ -306,51 +298,35 @@ def _legendre_sum(z, y, w):
     return est
 
 
-_LOG_ORDER = 9      # odd: every remainder below has m = order + 1
-# The terms coeff t^j (c^2)^k zeta(m beta, N + 1) of _powerlaw_log_tail as
-# (coeff, j, k, m), m <= order: log(1 + x), then a_k w^k, a_k = -binom(-1/2, k)/(2k)
-_LOG_TERMS = tuple(
-    [((-1.0) ** (m + 1) / m, m, 0, m) for m in range(1, _LOG_ORDER + 1)]
-    + [(-_binom_half(k) / (2 * k) * (-1.0) ** j * math.comb(2 * k + j - 1, j), j, k, 2 * k + j)
-       for k in range(1, _LOG_ORDER // 2 + 1) for j in range(_LOG_ORDER - 2 * k + 1)])
-# |a_k| binom(order, order + 1 - 2k), the remainder factors; k = (order + 1)/2 is w's
-_LOG_REM = tuple((k, abs(_binom_half(k)) / (2 * k) * math.comb(_LOG_ORDER, _LOG_ORDER + 1 - 2 * k))
-                 for k in range(1, (_LOG_ORDER + 1) // 2 + 1))
-
-
-def _powerlaw_log_tail(beta: float, n_centers: int, t: float, c2: float):
+def _log_tail(beta: float, n_centers: int, t: float, c: float):
     """(estimate, error bound) for sum_{n>N} log((s + d)/(2S)), S = n^beta,
-    d = t + S, s = sqrt(d^2 + c^2): the log-product tail of the charts.
+    d = t + S, s = sqrt(d^2 + c^2), c = |z|: the charts' log-product tail.
 
-    Each term is log(1 + x) + log((1 + sqrt(1 + w))/2), x = t/S, w =
-    c^2/(S + t)^2: sum_m (-1)^(m+1) x^m/m plus sum_k a_k w^k (alternating,
-    |a_k| decreasing, 0 <= w <= 1) with (1 + x)^(-2k) expanded binomially;
-    over n, S^-m sums to zeta(m beta, N + 1).  Cut at m = order, with
-    rho = |t|/s0, the first leaves |t|^(order+1) Z/((order+1)(1 - rho)),
-    Z = zeta((order+1) beta), the k-th (Lagrange) binom(order, J) |a_k|
-    c^2k |t|^J Z/(1 - rho)^(order+1), J = order + 1 - 2k, which for J = 0
-    also bounds the dropped w terms.  Rounding adds 128 u (u = 2^-53, zeta's
-    8 ulps included) of the terms' absolute sum and 256 subnormal units.
-    Valid where 2|t| + (t^2 + c^2)/s0 <= s0/2, as the potential series,
-    so rho <= 1/4 and w <= 1; outside it returns (0, inf).
+    Each term is harmonic in the ball r < S, is 0 at the origin and has
+    t-derivative 1/s, the potential tail's term; and d/dt (r^(l+1)
+    P_{l+1}(t/r)) = (l+1) r^l P_l(t/r) (Hobson, The Theory of Spherical and
+    Ellipsoidal Harmonics, 1931).  So the tail is ``_legendre_tail``'s
+    series integrated term by term, -sum_{l>=0} Z_l R_{l+1}(y, w)/(l+1):
+    ``_legendre_sum`` on (0, -Z_0/1, ..., -Z_{L-1}/L).  With rho = r/s0
+    (16 u more, as in ``_legendre_bound``), |R_l| <= rho^l and Z_l
+    decreasing, the terms past L add up to at most Z_L rho^(L+1) / ((L+1)
+    (1 - rho)), Z_L <= 1 + (N + 1)/((L + 1) beta - 1), and
+    ``_legendre_rounding`` adds the rounding.  For rho >= 1 the bound is
+    inf, with a zero estimate, and no term is formed.
     """
-    s0 = float(n_centers + 1) ** beta
-    at = abs(t)
-    if 2.0 * at + (t * t + c2) / s0 > 0.5 * s0:
+    a = float(n_centers + 1)
+    s0 = a ** beta
+    rho = _max_radius(t, c) / s0 * (1.0 + 16.0 * _MACHEP)
+    if not rho < 1.0:
         return 0.0, math.inf
-    zv = [_zeta_value(m * beta, n_centers + 1) for m in range(1, _LOG_ORDER + 2)]
-    est = mag = 0.0
-    for coeff, j, k, m in _LOG_TERMS:
-        if k and not c2:        # the terms in c^2 come last
-            break
-        term = coeff * t ** j * c2 ** k * zv[m - 1]
-        est += term
-        mag += abs(term)
-    top = _LOG_ORDER + 1
-    rho = at / s0
-    rem = at ** top / (top * (1.0 - rho)) + sum(
-        r * c2 ** k * at ** (top - 2 * k) for k, r in _LOG_REM) / (1.0 - rho) ** top
-    return est, rem * zv[top - 1] + 128.0 * _MACHEP * mag + 256.0 * math.ulp(0.0)
+    zl = _legendre_coeffs(hurwitz_zeta, beta, n_centers)
+    y = t / -s0
+    v = c / s0
+    est = _legendre_sum((0.0,) + tuple(-z / (l + 1) for l, z in enumerate(zl[:-1])),
+                        y, y * y + v * v)
+    top = _LEGENDRE_ORDER + 1
+    rem = (1.0 + a / (top * beta - 1.0)) * rho ** top / (top * (1.0 - rho))
+    return est, rem + _legendre_rounding(beta, n_centers, rho, log=True)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +546,7 @@ class _AxialDecreasingFamily(CenterFamily):
         return self.a(n), 0j
 
     def fiber_bases(self, radius):
-        return frozenset({0j}) if radius >= 0 else frozenset()
+        return frozenset({0j})
 
     def fiber_order_type(self, z):
         return OMEGA_DOWN if z == 0 else Finite(0)
@@ -690,7 +666,7 @@ class PowerLawFamily(_AxialDecreasingFamily):
         return _legendre_bound(self.beta, n_centers, _max_radius(t, z))
 
     def log_tail(self, n_centers, t, z):
-        return _powerlaw_log_tail(self.beta, n_centers, float(t), abs(z) ** 2)
+        return _log_tail(self.beta, n_centers, float(t), abs(z))
 
     def flow_tail(self, n_centers, t0, t1, z):
         est0, err0 = self.log_tail(n_centers, t0, z)
@@ -1026,9 +1002,12 @@ def validate(config: Configuration) -> ValidityReport:
 def delta_set(config: Configuration, disk_radius: float) -> frozenset:
     """Fiber base points {-lambda_complex} inside the closed disk.
 
-    Raises TailUnresolved when the family cannot certify that no further
-    bases enter the disk.
+    Raises ValueError for a NaN or negative radius (inf is the whole
+    plane), and TailUnresolved when the family cannot certify that no
+    further bases enter the disk.
     """
+    if not disk_radius >= 0:
+        raise ValueError(f"disk radius must be nonnegative, got {disk_radius!r}")
     return config.family.fiber_bases(disk_radius)
 
 

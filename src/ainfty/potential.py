@@ -25,9 +25,9 @@ Flow quantities come in two deliberately independent routes:
 ``flow_log_g`` integrates Phi along a vertical segment on Gauss-Legendre
 panels (``quad``) sized by a Bernstein-ellipse error bound, while
 ``flow_log_g_sum`` evaluates the explicit sum of log ratios plus the
-family's ``flow_tail`` (for the power law a Hurwitz zeta series that meets
-1e-12 at the enumerated truncation near the origin); their agreement is one
-of the bundled invariants.
+family's ``flow_tail`` (for the power law the integral of the potential
+tail's Legendre series, which meets 1e-12 at the enumerated truncation near
+the origin); their agreement is one of the bundled invariants.
 
 Normalization: both flow routes return the integral of the
 quarter-normalized potential, whose eta-derivative is exactly Phi.  The
@@ -196,7 +196,7 @@ def _tail_truncation(config: Configuration, t, z, tol: float, n=None):
 def phi(config: Configuration, zeta, eps: float = 1e-10) -> CertifiedValue:
     """The potential at zeta with certified absolute error <= eps."""
     p = as_point(zeta)
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if config.is_singular(p):
         raise SingularPoint(f"{(p.t, p.z)} coincides with a center")
@@ -406,7 +406,8 @@ def flow_log_g_sum(config: Configuration, eta_t: float, zeta_t: float, z,
         est, err = fam.flow_tail(n, zeta_t, eta_t, z)
         # 64 eps max(|term|, 1/4) covers 17 ulps of a log1p term and 16 ulps
         # of 1 plus one of itself for a moduli term
-        magnitude = np.where(stable, np.maximum(np.abs(terms), 0.25), np.abs(terms)).sum() + abs(est)
+        magnitude = float(np.where(stable, np.maximum(np.abs(terms), 0.25), np.abs(terms)).sum())
+        magnitude += abs(est)
         bound = err / 4.0 + _reachable(_rounding_slop(magnitude) / 4.0, eps)
         return CertifiedValue((partial + est) / 4.0, bound) if bound <= eps else None
     return _refine(config, accept)

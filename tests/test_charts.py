@@ -16,7 +16,7 @@ from ainfty import charts
 from ainfty.errors import (NotChartAdmissible, OutsideOverlap, RootBracketFailure,
                            SectionMismatch, SingularPoint, WrongDivisor)
 from ainfty.geometry import ImHPoint
-from ainfty.potential import flow_log_g
+from ainfty.potential import flow_log_g, flow_log_g_sum
 from ainfty.quotient import base_section, class_of
 
 PL2 = power_law(2.0, truncation=2048)
@@ -65,6 +65,20 @@ def test_base_coordinate_flow_consistency():
         v = base_coordinate(PL2, gauge_point(PL2, eta, 0j, 0.0))
         flow = flow_log_g(PL2, 0j, 0.0, eta, eps=1e-11).value
         assert abs(v - math.exp(2.0 * flow)) <= 1e-8 * abs(v)
+
+
+def test_log_tail_far_out_on_a_steep_power_law():
+    # at t = -1e31 the truncation doubles to N = 16384 for beta = 8, where
+    # the order-9 log series raised OverflowError on t^10; the flow sum and
+    # the chart now run on the Legendre series, as the quadrature does
+    cfg = power_law(8.0, truncation=1024)
+    s = flow_log_g_sum(cfg, -1.0000001e31, -1e31, 0.5)
+    q = flow_log_g(cfg, 0.5, -1e31, -1.0000001e31)
+    assert abs(s.value - q.value) <= s.error_bound + q.error_bound
+    section = base_section(cfg)
+    p, q = chart_forward(cfg, section, canonical_multiplier(cfg, section),
+                         gauge_point(cfg, -1e31, 0.5 + 0j))
+    assert cmath.isfinite(p) and q == 0.5
 
 
 def _section_k(k):

@@ -156,6 +156,26 @@ def test_isom_and_map_point(tmp_path, capsys):
     assert -8.0 < t < -1.0 and (zre, zim) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("disk", ["nan", "-5"])
+def test_disk_radius_must_be_nonnegative(disk, cfg_path, tmp_path, capsys):
+    # such a disk held no fiber base: isom certified any two configurations
+    # (with NaN, not valid JSON, in its manifest) and k-divisor printed an
+    # empty divisor; a usage error now, before any work
+    two = _write(tmp_path, "two.json",
+                 {"family": "finite", "centers": [[1.0, 0.0, 0.0], [4.0, 0.0, 0.0]]})
+    s1 = _write(tmp_path, "s1.json", {"deviations": []})
+    s2 = _write(tmp_path, "s2.json", {"deviations": [{"z": [0.0, 0.0], "gap": [3, 2]}]})
+    for argv in (["isom", "--config-a", cfg_path, "--config-b", two],
+                 ["k-divisor", "--config", cfg_path, "--section-a", s1, "--section-b", s2]):
+        code, out, err = _run(capsys, argv + [f"--disk={disk}"])
+        assert code == 2 and not out
+        assert err.startswith("usage error: --disk must be nonnegative")
+    iso = _write(tmp_path, "iso.json", {"config_a": PL2, "config_b": PL2, "disk": float(disk)})
+    code, out, err = _run(capsys, ["map-point", "--iso", iso, "--point=-2.5,0,0"])
+    assert code == 2 and not out
+    assert err.startswith("usage error: the iso file's disk must be nonnegative")
+
+
 def test_isom_on_axis_base_prints_positive_zero(tmp_path, capsys):
     cfg = _write(tmp_path, "axis.json",
                  {"family": "finite", "centers": [[1.0, 0.0, 0.0], [2.0, 0.0, 1.0]]})

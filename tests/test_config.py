@@ -245,13 +245,14 @@ def _log_tail_oracle(beta, n, t, c):
     bounded at u = 0, plus three corrections).  Each term is
     log1p(t/S) + log1p(w/(2 (1 + sqrt(1 + w)))), w = c^2/(S + t)^2, the
     same number without the loss of log near 1 far out.  The terms are
-    divided by |t| + c^2 while summed, as mpmath.quad meets an absolute
-    tolerance."""
+    divided by (|t| + c^2/s0) (n + 1)^(1 - beta), s0 = (n + 1)^beta, the
+    size of the sum up to a factor 1/(beta - 1), while summed, as
+    mpmath.quad meets an absolute tolerance."""
     if t == 0 and c == 0:
         return mpmath.mpf(0)
     with mpmath.workdps(40):
         b, t, c = mpmath.mpf(beta), mpmath.mpf(t), mpmath.mpf(c)
-        scale = abs(t) + c * c
+        scale = (abs(t) + c * c / mpmath.mpf(n + 1) ** b) * mpmath.mpf(n + 1) ** (1 - b)
 
         def f(x):
             s = x ** b
@@ -266,14 +267,22 @@ def _log_tail_oracle(beta, n, t, c):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.floats(1.2, 3.0), st.sampled_from([64, 1024]), st.floats(-1.0, 1.0),
-       st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.3, 2.0]))
-def test_powerlaw_log_tail_within_bound_of_oracle(beta, n, f0, f1, c):
+@given(st.floats(1.2, 8.0), st.sampled_from([64, 1024, 1 << 16]), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+@example(2.0, 1024, -216.0 / (0.9 * 1025.0 ** 2), 20.0 / (0.9 * 1025.0 ** 2),
+         2.0 / (0.9 * 1025.0 ** 2)).via("the bench's heights and base points")
+@example(3.0, 1024, -216.0 / (0.9 * 1025.0 ** 3), 0.0, 0.0).via("a gap of the bench, on the axis")
+@example(8.0, 1 << 16, -3e-8 / 0.9, -1e-3 / 0.9, 0.0).via("an order-9 series overflowed at -1e-3")
+@example(8.0, 1 << 16, -0.5 / 0.9, 0.5 / 0.9, 0.3).via("half the radius of convergence")
+def test_powerlaw_log_tail_within_bound_of_oracle(beta, n, f0, f1, g):
     fam = power_law(beta).family
     s0 = float(n + 1) ** beta
-    # heights up to the validity limit 2|t| + (t^2 + c^2)/s0 = s0/2
-    t_max = 0.999 * (math.sqrt(1.5 * s0 * s0 - c * c) - s0)
-    t0, t1 = f0 * t_max, f1 * t_max
+    # radii up to 0.9 s0: heights up to it, and c (the same at both heights)
+    # up to it at the larger one
+    r_max = 0.9 * s0
+    t0, t1 = f0 * r_max, f1 * r_max
+    top = max(abs(t0), abs(t1))
+    c = g * math.sqrt(max(0.0, r_max * r_max - top * top))
     z = c * complex(0.6, 0.8)
     oracle = {t: _log_tail_oracle(beta, n, t, abs(z)) for t in (t0, t1)}
     for t in (t0, t1):
@@ -282,6 +291,26 @@ def test_powerlaw_log_tail_within_bound_of_oracle(beta, n, f0, f1, c):
         assert abs(est - oracle[t]) <= err, (t, est, err)
     est, err = fam.flow_tail(n, t0, t1, z)
     assert abs(est - (oracle[t1] - oracle[t0])) <= err
+
+
+def test_powerlaw_log_tail_bound_is_tight_on_the_axis():
+    # rho = 0.24, where the order-9 series returned (0, inf).  On the axis
+    # every dropped term has one sign, so the error (4.3e-12) comes close to
+    # the remainder bound (4.4e-12; 6.6e-12 with rounding)
+    est, err = power_law(2.0).family.log_tail(64, -1000.0, 0j)
+    error = abs(est - _log_tail_oracle(2.0, 64, -1000.0, 0.0))
+    assert err / 2.0 < error <= err
+
+
+def test_powerlaw_log_tail_bound_is_inf_outside_the_ball():
+    # no term is formed at rho >= 1, so nothing overflows; at the origin
+    # the series vanishes and so does its bound, but for underflow
+    fam = power_law(8.0).family
+    s0 = 1025.0 ** 8
+    for t, z in [(-s0, 0j), (0.0, s0), (-1e31, 0.5), (1e300, 1e300j), (math.nan, 0j)]:
+        assert fam.log_tail(1024, t, z) == (0.0, math.inf)
+    est, err = fam.log_tail(1024, 0.0, 0j)
+    assert est == 0.0 and err < 1e-290
 
 
 def test_powerlaw_log_tail_bound_at_enumerated_truncation():

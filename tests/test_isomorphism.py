@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ainfty.charts import act, gauge_point
-from ainfty.config import OMEGA_BOTH, finite_list, general_axial, power_law
+from ainfty.config import OMEGA_BOTH, delta_set, finite_list, general_axial, power_law
 from ainfty.errors import FixedPointInput, NotIsomorphic, TailUnresolved
 from ainfty.geometry import ImHPoint
 from ainfty.isomorphism import (
@@ -38,6 +38,22 @@ def test_classifier_delta_obstruction():
     b = finite_list([(1.0, 0j), (2.0, 4 + 0j)])
     cert = isomorphism_exists(a, b, 10.0)
     assert not cert.isomorphic and "base sets" in cert.obstruction
+
+
+@pytest.mark.parametrize("radius", [math.nan, -5.0], ids=["nan", "negative"])
+def test_classifier_rejects_a_nan_or_negative_disk(radius):
+    # every fiber_bases found no base in such a disk, so these two were
+    # certified isomorphic, with no fibers
+    a = finite_list([(1.0, 0j), (-2.0, 1j)])
+    b = finite_list([(1.0, 0j)])
+    for config in (a, PL2):
+        with pytest.raises(ValueError, match="disk radius must be nonnegative"):
+            delta_set(config, radius)
+    with pytest.raises(ValueError, match="disk radius must be nonnegative"):
+        isomorphism_exists(a, b, radius)
+    # an infinite disk is the whole plane
+    assert delta_set(a, math.inf) == {0j, -1j} and delta_set(PL2, math.inf) == {0j}
+    assert not isomorphism_exists(a, b, math.inf).isomorphic
 
 
 def test_order_iso_power_laws_matches_by_rank():

@@ -417,6 +417,21 @@ def test_flow_zero_segment():
     assert flow_log_g_sum(PL2, -2.5, -2.5, 0j).value == 0.0
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-10, math.nan])
+def test_phi_rejects_a_tolerance_that_is_not_positive(eps):
+    # a NaN eps met no bound, so N doubled to max_truncation before a raise
+    with pytest.raises(ValueError, match="eps must be positive"):
+        phi(PL2, ImHPoint(0.3, 0.1j), eps)
+
+
+def test_certified_values_are_python_floats():
+    # CertifiedValue declares floats; the flow sum's rounding term was a
+    # numpy.float64, summed by numpy
+    for v in (phi(PL2, ImHPoint(0.3, 0.1j)), flow_log_g(PL2, 0j, -2.5, -3.5),
+              flow_log_g_sum(power_law(2.0), -2.5, -3.5, 0j)):
+        assert type(v.value) is float and type(v.error_bound) is float, v
+
+
 def test_flow_single_center_closed_form():
     oracle = math.asinh(1.0) / 4.0
     v = flow_log_g(SINGLE, 1 + 0j, 0.0, 1.0, eps=1e-11)
