@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Configuration, moduli_pair
-from .errors import (NotChartAdmissible, OutsideOverlap, RootBracketFailure,
-                     SectionMismatch, SingularPoint, WrongDivisor)
+from .errors import (ModulusOutOfRange, NotChartAdmissible, OutsideOverlap,
+                     RootBracketFailure, SectionMismatch, SingularPoint, WrongDivisor)
 from .geometry import ImHPoint
 from .potential import _potential_sum, _refine
 from .quotient import (CombinatorialSection, IntegerDivisor, QuotientClass,
@@ -45,6 +45,11 @@ _NEWTON_STEPS = 60
 # of any float height; left to run on, Newton passes |t| = 2^512, where
 # ``s *= s`` in potential._potential_sum overflows.
 _RUN_OFF = 2.0 ** 400
+# Chart coordinates keep log|p| in [_LOG_MIN, _LOG_MAX], so that |p| lies
+# within 2^-1021 to 2^1023 (normal floats, rounding included); outside it p
+# would overflow, underflow to 0 or lose digits
+_LOG_MIN = -1021.0 * math.log(2.0)
+_LOG_MAX = 1023.0 * math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +322,16 @@ def _coordinate(config, section, multiplier, point, eps):
             f"the section divisor")
     profile = _LogProfile(config, p.z, cls, eps=2.0 * eps, section=section)
     const = _chart_constant(multiplier, profile)
-    modulus = math.exp(0.5 * profile.value(p.t))
-    return const * modulus * cmath.exp(1j * point.theta)
+    half = 0.5 * profile.value(p.t)
+    log_mod = math.log(abs(const)) + half
+    if not _LOG_MIN <= log_mod <= _LOG_MAX:
+        raise ModulusOutOfRange(
+            f"chart log-modulus log|p| = {log_mod:.6g} at {(p.t, p.z)} leaves "
+            f"the float range [{_LOG_MIN:.6g}, {_LOG_MAX:.6g}]")
+    # exp(half) alone leaves the range only where |const| brings it back
+    unit = (const * math.exp(half) if abs(half) <= _LOG_MAX
+            else const / abs(const) * math.exp(log_mod))
+    return unit * cmath.exp(1j * point.theta)
 
 
 def base_coordinate(config: Configuration, point: ManifoldPoint,

@@ -551,44 +551,44 @@ class _AxialDecreasingFamily(CenterFamily):
     def fiber_order_type(self, z):
         return OMEGA_DOWN if z == 0 else Finite(0)
 
-    def _last_above(self, t: float, n_max: int) -> int:
-        """Largest n with -a_n > t, i.e. a_n < -t; 0 if none.  Raises
+    def _last_above(self, t: float, n_max: int):
+        """(n, a_n, a_(n+1)): the largest n with -a_n > t, i.e. a_n < -t, 0
+        if none (a_0 is then None), and the two heights the search ends on,
+        so that callers need not evaluate them again.  Raises
         TailUnresolved iff a_n < -t at n = n_max, so the answer is below
         n_max; a is evaluated at indices up to n_max only."""
-        if self.a(1) >= -t:
-            return 0
-        lo, hi = 1, 2
-        while hi < n_max and self.a(hi) < -t:
-            lo, hi = hi, 2 * hi
+        a_hi = self.a(1)
+        if a_hi >= -t:
+            return 0, None, a_hi
+        lo, a_lo, hi = 1, a_hi, 2
+        while hi < n_max and (a_hi := self.a(hi)) < -t:
+            lo, a_lo, hi = hi, a_hi, 2 * hi
         if hi >= n_max:
             hi = n_max
-            if self.a(hi) < -t:
+            if (a_hi := self.a(hi)) < -t:
                 raise TailUnresolved(
                     f"fiber enumeration beyond max truncation {n_max} needed at height {t}")
         while hi - lo > 1:          # a_lo < -t <= a_hi
             mid = (lo + hi) // 2
-            if self.a(mid) < -t:
-                lo = mid
+            if (a_mid := self.a(mid)) < -t:
+                lo, a_lo = mid, a_mid
             else:
-                hi = mid
-        return lo
+                hi, a_hi = mid, a_mid
+        return lo, a_lo, a_hi
 
     def fiber_points_window(self, z, lo, hi, n_max):
         if z != 0:
             return []
         if lo > hi:
             return []
-        # points -a_n in [lo, hi]  <=>  a_n in [-hi, -lo]
-        n_hi = self._last_above(lo, n_max)          # last n with -a_n > lo
-        out = []
-        n = n_hi
-        while n >= 1 and -self.a(n) <= hi:
-            out.append((n, -self.a(n)))
+        # points -a_n in [lo, hi]  <=>  a_n in [-hi, -lo], in order of height
+        n, a_n, a_next = self._last_above(lo, n_max)    # last n with -a_n > lo
+        # the exact left endpoint, if -a_(n+1) == lo
+        out = [(n + 1, -a_next)] if -a_next == lo else []
+        while n >= 1 and -a_n <= hi:
+            out.append((n, -a_n))
             n -= 1
-        # include exact left endpoint if -a_{n_hi+1} == lo
-        if (t_next := -self.a(n_hi + 1)) == lo:
-            out.append((n_hi + 1, t_next))
-        out.sort(key=lambda p: p[1])
+            a_n = self.a(n) if n >= 1 else None
         return out
 
     def fiber_points_all(self, z, n_max):
@@ -599,11 +599,12 @@ class _AxialDecreasingFamily(CenterFamily):
     def fiber_neighbors(self, z, t, n_max):
         if z != 0:
             return None, None, None
-        n = self._last_above(t, n_max)   # -a_n > t strictly, so only n+1 can hit
-        below = -self.a(n + 1)
+        # -a_n > t strictly, so only n+1 can hit
+        n, a_n, a_next = self._last_above(t, n_max)
+        below = -a_next
         if below == t:
             return None, None, n + 1
-        return (n + 1, below), ((n, -self.a(n)) if n >= 1 else None), None
+        return (n + 1, below), ((n, -a_n) if n >= 1 else None), None
 
     def fiber_from_top(self, z, k, n_max):
         if z != 0 or k > n_max:
@@ -615,11 +616,11 @@ class _AxialDecreasingFamily(CenterFamily):
 
     def nearest_center_distance(self, p, n_max):
         # centers at -a_n on the axis; distance^2 = (t + a_n)^2 + |z|^2
-        n = self._last_above(p.t, n_max)
+        n, a_n, a_next = self._last_above(p.t, n_max)
         best = math.inf
-        for m in (n, n + 1, n + 2, 1):
-            if m >= 1:
-                best = min(best, math.hypot(p.t + self.a(m), abs(p.z)))
+        for a in (a_n, a_next, self.a(n + 2), self.a(1)):
+            if a is not None:
+                best = min(best, math.hypot(p.t + a, abs(p.z)))
         return best
 
 

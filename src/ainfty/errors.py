@@ -63,6 +63,11 @@ class FixedPointInput(AinftyError):
     """The isomorphism map is only evaluated away from fixed points."""
 
 
+class ModulusOutOfRange(AinftyError):
+    """A chart coordinate's modulus exp(log-modulus) overflows or underflows
+    the normal float range (the message gives the log-modulus)."""
+
+
 class RootBracketFailure(AinftyError):
     """The chart solver could not converge to its target inside the gap
     (should not happen for admissible inputs; the message names the gap,

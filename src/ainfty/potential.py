@@ -39,13 +39,17 @@ region {radial_distance <= rho} and fits the slope of log W against
 log rho.  The constant fiber-circle period is omitted from W (it rescales
 W and cannot move the slope), and the base-distance proxy differs from the
 true geodesic distance by bounded distortion, again affecting constants
-only.  Monte Carlo sampling uses counter-based Philox streams split per
+only.  The region's boundary tables depend on the configuration and the
+grid alone, not the seed; they are built once per configuration, grid and
+sizes and kept, read-only, while the configuration lives, in a weak-keyed
+memo.  Monte Carlo sampling uses counter-based Philox streams split per
 rho stratum, so results are bit-reproducible for a given seed.
 """
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +90,9 @@ _LEAF = 64
 _START = 8
 _PAIRS = 1 << 14
 _CLUSTER_SHARE = 1.0 / 16.0
+# The growth fits' boundary tables, per configuration while it lives (see
+# _growth_tables)
+_TABLES = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -848,6 +855,24 @@ def _boundary_tables(config: Configuration, rho_grid, n_psi: int, n_radial: int)
     return x_grid, tables
 
 
+def _growth_tables(config: Configuration, rho, n_psi: int, n_radial: int):
+    """``_boundary_tables`` (x_grid, tables), read-only, built once per
+    configuration, rho grid, n_psi and n_radial and kept while the
+    configuration lives.  The tables do not depend on the seed, but on the
+    family and on max_truncation (through ``_refine``): they are keyed by
+    the configuration, so equal ones (the same family object and
+    truncations) share them.  A failure is not kept: the next call tries
+    again."""
+    memo = _TABLES.setdefault(config, {})
+    key = (tuple(rho.tolist()), n_psi, n_radial)
+    if key not in memo:
+        out = _boundary_tables(config, rho, n_psi, n_radial)
+        for a in out:
+            a.flags.writeable = False
+        memo[key] = out
+    return memo[key]
+
+
 def growth_exponent(config: Configuration, rho_grid, mc_samples: int, seed: int,
                     *, n_psi: int = 320, n_radial: int = 768) -> GrowthFit:
     """Fit the exponent of W(rho) ~ rho^alpha where W integrates the
@@ -858,7 +883,12 @@ def growth_exponent(config: Configuration, rho_grid, mc_samples: int, seed: int,
     boundary comes from ``_boundary_tables``, which sums each of the
     ``n_psi`` rays of its ``n_radial``-based grid outward only until it
     passes the largest rho; its tables, and so the fit, are the same bit
-    for bit as from the potential at every node of the grid.
+    for bit as from the potential at every node of the grid.  They do not
+    depend on the seed, so they are built once per configuration, rho grid,
+    ``n_psi`` and ``n_radial`` and kept while the configuration lives
+    (``_growth_tables``): a refit pays for the strata alone, while the
+    first fit in a process, such as a cold ``ainfty growth``, still builds
+    them.
 
     Raises ValueError, before any work, for an ``n_psi`` or ``n_radial``
     below 1 or an ``mc_samples`` below 16 per rho value, and
@@ -880,7 +910,7 @@ def growth_exponent(config: Configuration, rho_grid, mc_samples: int, seed: int,
                          f"{16 * rho.size} here, got {mc_samples!r}")
     _axial_check(config)
 
-    x_grid, tables = _boundary_tables(config, rho, n_psi, n_radial)
+    x_grid, tables = _growth_tables(config, rho, n_psi, n_radial)
     m = int(mc_samples) // rho.size
     base = np.random.Philox(key=int(seed))
 

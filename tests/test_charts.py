@@ -13,8 +13,9 @@ from ainfty.charts import (
 )
 from ainfty.config import finite_list, moduli_pair, power_law
 from ainfty import charts
-from ainfty.errors import (NotChartAdmissible, OutsideOverlap, RootBracketFailure,
-                           SectionMismatch, SingularPoint, WrongDivisor)
+from ainfty.errors import (ModulusOutOfRange, NotChartAdmissible, OutsideOverlap,
+                           RootBracketFailure, SectionMismatch, SingularPoint,
+                           WrongDivisor)
 from ainfty.geometry import ImHPoint
 from ainfty.potential import flow_log_g, flow_log_g_sum
 from ainfty.quotient import base_section, class_of
@@ -75,10 +76,33 @@ def test_log_tail_far_out_on_a_steep_power_law():
     s = flow_log_g_sum(cfg, -1.0000001e31, -1e31, 0.5)
     q = flow_log_g(cfg, 0.5, -1e31, -1.0000001e31)
     assert abs(s.value - q.value) <= s.error_bound + q.error_bound
+    # the chart's log-modulus there is finite, but exp of it underflows:
+    # the chart names it rather than returning p = 0
     section = base_section(cfg)
-    p, q = chart_forward(cfg, section, canonical_multiplier(cfg, section),
-                         gauge_point(cfg, -1e31, 0.5 + 0j))
-    assert cmath.isfinite(p) and q == 0.5
+    with pytest.raises(ModulusOutOfRange, match="log-modulus") as err:
+        chart_forward(cfg, section, canonical_multiplier(cfg, section),
+                      gauge_point(cfg, -1e31, 0.5 + 0j))
+    log_mod = float(str(err.value).split("= ")[1].split(" ")[0])
+    assert math.isfinite(log_mod) and log_mod < charts._LOG_MIN
+
+
+@pytest.mark.parametrize("t, inside", [(-1e31, False), (1e31, False),
+                                       (-1e7, True), (1e7, True)])
+def test_chart_coordinate_outside_the_float_range_raises(t, inside):
+    # exp(log-modulus) underflows at -1e31 and overflows at +1e31: both raise
+    # the typed error, while -1e7 (|p| about 2.6e-44) and +1e7 stay charted
+    cfg = power_law(8.0, truncation=1024)
+    section = base_section(cfg)
+    m = canonical_multiplier(cfg, section)
+    pt = gauge_point(cfg, t, 0.5 + 0j, 0.3)
+    if inside:
+        p, _ = chart_forward(cfg, section, m, pt)
+        assert cmath.isfinite(p) and abs(p) >= 2.0 ** -1021
+        back = chart_inverse(cfg, section, m, (p, 0.5 + 0j))
+        assert abs(back.zeta.t - t) <= 1e-8 * abs(t)
+    else:
+        with pytest.raises(ModulusOutOfRange, match=r"log-modulus log\|p\| = "):
+            chart_forward(cfg, section, m, pt)
 
 
 def _section_k(k):

@@ -113,6 +113,17 @@ def test_chart_invert_round_trip(cfg_path, tmp_path, capsys):
     assert abs(theta - 0.5) <= 1e-8
 
 
+
+@pytest.mark.parametrize("point", ["-1e31,0.5,0", "1e31,0.5,0"])
+def test_chart_out_of_float_range_exits_1(point, tmp_path, capsys):
+    # the coordinate would underflow to 0 or overflow: exit 1, the typed
+    # error named on stderr and nothing on stdout
+    cfg = _write(tmp_path, "c.json", {"family": "power_law", "beta": 8.0, "truncation": 1024})
+    s = _write(tmp_path, "s.json", {"deviations": []})
+    code, out, err = _run(capsys, ["chart", "--config", cfg, "--section", s, f"--point={point}"])
+    assert code == 1 and out == ""
+    assert err.startswith("ModulusOutOfRange: chart log-modulus")
+
 def test_transition(cfg_path, tmp_path, capsys):
     s1 = _write(tmp_path, "s1.json", {"deviations": []})
     s2 = _write(tmp_path, "s2.json",

@@ -1,15 +1,18 @@
 """Potential, flow integrals, and radial distance."""
 
+import gc
 import math
 import random
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ainfty.config import Finite, axial_monotone, finite_list, general_axial, power_law
+from ainfty.config import (Configuration, Finite, axial_monotone, finite_list, general_axial,
+                           power_law)
 from ainfty import potential
 from ainfty.errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
                            SegmentHitsCenter, SingularPoint, TailUnresolved)
@@ -401,15 +404,18 @@ def test_growth_fit_equal_with_smaller_blocks(monkeypatch):
         calls.append(n)
         return sums(config, n, *args)
     monkeypatch.setattr(potential, "_truncated_sums", spy)
-    args = (power_law(2.0), np.geomspace(1e2, 1e4, 9), 20_000, 3)
-    fit = growth_exponent(*args)
+    tables = _count_tables(monkeypatch)
+    args = (np.geomspace(1e2, 1e4, 9), 20_000, 3)
+    fit = growth_exponent(power_law(2.0), *args)
     assert max(calls) >= potential._TREE_MIN
     for name, value in (("_BLOCK", 3000), ("_PAIRS", 40)):
+        # a fresh configuration, so that its tables too run on these blocks
         with monkeypatch.context() as m:
             m.setattr(potential, name, value)
-            other = growth_exponent(*args)
+            other = growth_exponent(power_law(2.0), *args)
         assert other.samples == fit.samples
         assert other.slope == fit.slope and other.slope_stderr == fit.slope_stderr
+    assert len(tables) == 3
 
 
 def test_flow_zero_segment():
@@ -713,12 +719,17 @@ def test_growth_insufficient_range():
         growth_exponent(SINGLE, [100.0, 500.0], 1000, 1)
 
 
-def test_growth_single_center_smoke():
+def test_growth_single_center_smoke(monkeypatch):
     rho = [10.0 * 10 ** (k / 4) for k in range(9)]   # two decades
-    fit = growth_exponent(SINGLE, rho, 20_000, seed=7, n_psi=48, n_radial=256)
+    tables = _count_tables(monkeypatch)
+    fit = growth_exponent(finite_list([(0.0, 0j)]), rho, 20_000, seed=7, n_psi=48,
+                          n_radial=256)
     assert abs(fit.slope - 4.0) <= 0.1
-    fit2 = growth_exponent(SINGLE, rho, 20_000, seed=7, n_psi=48, n_radial=256)
-    assert fit2 == fit     # bit-reproducible for a fixed seed
+    # bit-reproducible for a fixed seed, tables included: a fresh
+    # configuration builds them again
+    fit2 = growth_exponent(finite_list([(0.0, 0j)]), rho, 20_000, seed=7, n_psi=48,
+                           n_radial=256)
+    assert fit2 == fit and len(tables) == 2
 
 
 @pytest.mark.parametrize("kwargs, error, name", [
@@ -795,12 +806,91 @@ def test_boundary_tables_equal_full_grid(config, rho, n_psi, n_radial):
 
 
 def test_growth_fit_equal_with_full_grid_tables(monkeypatch):
-    args = (power_law(2.0), ACCEPTANCE_RHO, 20_000, 5)
-    fit = growth_exponent(*args, n_psi=48, n_radial=256)
+    args = (ACCEPTANCE_RHO, 20_000, 5)
+    fit = growth_exponent(power_law(2.0), *args, n_psi=48, n_radial=256)
     monkeypatch.setattr(potential, "_boundary_tables", _full_grid_tables)
-    ref = growth_exponent(*args, n_psi=48, n_radial=256)
+    full = _count_tables(monkeypatch)
+    # a fresh configuration, so that the fit reads the full-grid tables
+    ref = growth_exponent(power_law(2.0), *args, n_psi=48, n_radial=256)
+    assert len(full) == 1
     assert fit.samples == ref.samples
     assert fit.slope == ref.slope and fit.slope_stderr == ref.slope_stderr
+
+
+def _count_tables(monkeypatch):
+    """A list that gets the arguments of every call of the boundary tables
+    (the function in place when this is called) from growth_exponent."""
+    calls, tables = [], potential._boundary_tables
+
+    def spy(config, rho, n_psi, n_radial):
+        calls.append((config, tuple(rho), n_psi, n_radial))
+        return tables(config, rho, n_psi, n_radial)
+    monkeypatch.setattr(potential, "_boundary_tables", spy)
+    return calls
+
+
+def _small_fit(config, rho=ACCEPTANCE_RHO, seed=1, n_psi=16, n_radial=64):
+    return growth_exponent(config, rho, 2000, seed, n_psi=n_psi, n_radial=n_radial)
+
+
+def test_growth_tables_built_once_per_configuration_grid_and_sizes(monkeypatch):
+    # a refit with another seed reads the kept tables; another rho grid,
+    # n_psi, n_radial or configuration object builds its own, while an
+    # equal configuration (same family and truncations) shares them
+    calls = _count_tables(monkeypatch)
+    cfg = power_law(2.0)
+    _small_fit(cfg)
+    assert len(calls) == 1
+    _small_fit(cfg, seed=2)
+    _small_fit(Configuration(cfg.family, cfg.truncation, cfg.max_truncation), seed=3)
+    assert len(calls) == 1
+    _small_fit(cfg, rho=np.geomspace(1e2, 1e4, 5))
+    _small_fit(cfg, n_psi=12)
+    _small_fit(cfg, n_radial=60)
+    _small_fit(power_law(2.0))
+    # max_truncation bounds the tables' truncation, so it keys them too
+    _small_fit(Configuration(cfg.family, cfg.truncation, cfg.max_truncation // 2))
+    assert len(calls) == 6
+    assert len({(id(c), *rest) for c, *rest in calls}) == 6
+    for args in ((cfg,), (cfg, np.geomspace(1e2, 1e4, 5)), (power_law(2.0),)):
+        _small_fit(*args, seed=4)
+    assert len(calls) == 7      # only the last configuration is new
+
+
+def test_growth_fit_on_kept_tables_equals_fresh_fit(monkeypatch):
+    # a fit on kept tables is the fit on a fresh configuration, bit for bit
+    cfg = power_law(3.0)
+    _small_fit(cfg, seed=5)
+    calls = _count_tables(monkeypatch)
+    hit = _small_fit(cfg, seed=9)
+    fresh = _small_fit(power_law(3.0), seed=9)
+    assert len(calls) == 1 and calls[0][0] is not cfg
+    assert hit == fresh
+
+
+def test_growth_tables_are_read_only_and_die_with_their_configuration():
+    cfg = finite_list([(0.0, 0j)])
+    rho = np.unique(ACCEPTANCE_RHO)
+    x_grid, tables = potential._growth_tables(cfg, rho, 16, 64)
+    assert potential._growth_tables(cfg, rho, 16, 64)[1] is tables
+    for a in (x_grid, tables):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    refs = [weakref.ref(cfg), weakref.ref(tables)]
+    del cfg, x_grid, tables, a
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_growth_tables_failure_is_not_kept(monkeypatch):
+    # a TailUnresolved from the tables raises again on the next call
+    calls = _count_tables(monkeypatch)
+    cfg = finite_list([(0.0, 0j)])
+    for _ in range(2):
+        with pytest.raises(TailUnresolved, match="boundary cumulative fell short"):
+            growth_exponent(cfg, ACCEPTANCE_RHO, 1000, 1, n_radial=1)
+    assert len(calls) == 2
 
 
 def _record_sums(monkeypatch, record):

@@ -195,8 +195,39 @@ def test_axial_neighbor_search_matches_brute_force(name, n_max, anchor, k, shift
             with pytest.raises(TailUnresolved):
                 fam._last_above(t, n_max)
         else:
-            assert fam._last_above(t, n_max) == expected, (t, n_max)
+            n, a_n, a_next = fam._last_above(t, n_max)
+            assert n == expected, (t, n_max)
+            # the heights it hands back are a(n) (None for n = 0) and a(n+1)
+            assert a_n == (fam.a(n) if n else None) and a_next == fam.a(n + 1)
     assert max(seen) <= n_max
+
+
+def test_class_of_evaluates_heights_only_in_the_search(monkeypatch):
+    # the neighbor search hands back a_n and a_(n+1), the heights its
+    # bisection ends on, so fiber_neighbors evaluates no height of its own:
+    # on this fixed list a is called 1186 times, all inside the searches,
+    # where the search returning n alone made 1395 calls, re-evaluating
+    # a(n+1) at every point and a(n) off the hits with n >= 1
+    cfg = power_law(2.0, truncation=1024)
+    pts = [ImHPoint(t, 0j) for t in (1.0, 0.0, -0.5, -1.0, -4.0, -2.5, -10000.5, -123456.7)]
+    pts += [ImHPoint(-(k * k + 0.5), 0j) for k in range(1, 100)]
+    expected = [class_of(cfg, p) for p in pts]
+    calls, inside = [0], [0]
+    a, search = PowerLawFamily.a, PowerLawFamily._last_above
+
+    def count(self, n):
+        calls[0] += 1
+        return a(self, n)
+
+    def spy(self, t, n_max):
+        before = calls[0]
+        out = search(self, t, n_max)
+        inside[0] += calls[0] - before
+        return out
+    monkeypatch.setattr(PowerLawFamily, "a", count)
+    monkeypatch.setattr(PowerLawFamily, "_last_above", spy)
+    assert [class_of(cfg, p) for p in pts] == expected
+    assert calls[0] == inside[0] == 1186 < 1395
 
 
 def test_class_of_below_a_max_truncation_that_is_not_a_power_of_two():
