@@ -781,6 +781,14 @@ class FiniteListFamily(CenterFamily):
     def tail_inv_sum(self, n_centers, r):
         return _fill(r, 0.0 if n_centers >= self.count else math.inf)
 
+    def phi_tail(self, n_centers, t, z):
+        # every center summed: no tail is left, so the estimate is 0 and,
+        # where no radius can overflow, so is the bound, with no radii formed
+        if (n_centers >= self.count and np.max(np.abs(t)) < 2.0 ** 1023
+                and np.max(np.abs(z)) < 2.0 ** 1023):
+            return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z))), 0.0
+        return super().phi_tail(n_centers, t, z)
+
     def tail_chart_admissible(self, n_centers):
         return True if n_centers >= self.count else None
 
@@ -868,6 +876,9 @@ class GeneralAxialFiberedFamily(FiniteListFamily):
             return 0.0
         user = self.tail_oracles[0](n_centers) if self.tail_oracles else 0.0
         return max(self.base_radius, user)
+
+    # the tail past the list is the declared oracles'
+    phi_tail = CenterFamily.phi_tail
 
     def tail_inv_sum(self, n_centers, r):
         if self.tail_oracles is None or n_centers < self.count:

@@ -8,6 +8,9 @@ certified calls (``phi``, the integrand of ``flow_log_g``,
 ``radial_distance``, the chart profile's derivative), and ``_direct_sums``
 for the growth batches (``_phi_batch`` and the boundary tables), whose
 points may land on a center, with the floor that ``_octave_sums`` sets.
+The first lays a block out as points x centers and sums each row with
+numpy's pairwise sum; the second as centers x points, reduced along the
+centers, so that each point adds its terms in center index order.
 One loop, ``_refine``, picks N for every certified quantity here and in
 the chart profile: it doubles N through ``_grow`` until the caller's bound
 meets its tolerance, raising TailUnresolved once N reaches max_truncation.
@@ -575,8 +578,9 @@ def _cluster_tree(lr, b: float):
     squared far radius dc2 for an error of at most b per center
     (``_far_ratios``; a far node's centers are at least 2e-9 (1 + |m| + w)
     away, so the floor of ``_octave_sums`` binds on none of them), and the
-    moments q_l = sum ((h - m)/w)^l as rows.  leaves holds h in rows of
-    _LEAF, padded with inf."""
+    moments q_l = sum ((h - m)/w)^l as rows.  leaves holds h in columns
+    of _LEAF, one per leaf, padded with inf: the kernel's layout
+    (``_direct_sums``), _LEAF x leaves."""
     h = np.sort(lr)
     rho, g = _far_ratios()
     levels, offs = [], [0]
@@ -604,9 +608,9 @@ def _cluster_tree(lr, b: float):
         offs.append(offs[-1] + nodes)
         size *= 2
     m, w, dc2, q = (np.concatenate(a, axis=-1) for a in zip(*levels))
-    leaves = np.full(offs[1] * _LEAF, np.inf)
-    leaves[:h.size] = h
-    return m, w, dc2, q, offs, leaves.reshape(-1, _LEAF)
+    leaves = np.full((_LEAF, offs[1]), np.inf)
+    leaves.T.flat[:h.size] = h
+    return m, w, dc2, q, offs, leaves
 
 
 def _cluster_sum(tree, t, c, fl):
@@ -673,29 +677,37 @@ def _expansions(q, w, nd, dt, d2):
 def _direct_sums(t, c2, fl, h, nd=None):
     """The growth kernel: sums of 1/max(|(t + h_k, c)|, fl) at the points
     (t, c2 = c^2), 1-D arrays, over the heights h of every point, or with
-    nd over each point's row h[nd] of a 2-D h (inf adds 0), in blocks of
-    about _BLOCK terms in one reused buffer; no row depends on its block."""
-    width = h.shape[-1]
-    rows = max(1, _BLOCK // max(width, 1))
-    out = np.empty(t.size)
-    buf = np.empty(min(rows, t.size) * width)
-    for a in range(0, t.size, rows):
-        b = min(a + rows, t.size)
-        s = buf[:(b - a) * width].reshape(b - a, width)
+    nd over each point's column h[:, nd] of a 2-D h (inf adds 0).
+
+    Column layout: a block is centers x points, about _BLOCK terms in one
+    reused buffer, reduced along the centers, so that each point adds its
+    terms one center at a time, in index order, whatever its block.  A
+    lone point goes in twice, as two columns summed into a spare last slot
+    of the output: numpy would sum a block of one column pairwise."""
+    width = h.shape[0]
+    cols = max(2, _BLOCK // max(width, 1))
+    out = np.empty(t.size + 1)
+    buf = np.empty(max(min(cols, t.size), 2) * width)
+    for a in range(0, t.size, cols):
+        b = min(a + cols, t.size)
+        pts = slice(a, b) if b - a > 1 else [a, a]
+        tb = t[pts]
+        s = buf[:tb.size * width].reshape(width, tb.size)
         if nd is None:
-            np.add(t[a:b, None], h, out=s)
+            np.add(h[:, None], tb, out=s)
         else:
-            np.take(h, nd[a:b], axis=0, out=s)
-            s += t[a:b, None]
+            np.take(h, nd[pts], axis=1, out=s)
+            s += tb
         s *= s
-        s += c2[a:b, None]
+        s += c2[pts]
         np.sqrt(s, out=s)
-        k = np.flatnonzero(fl[a:b])
+        fb = fl[pts]
+        k = np.flatnonzero(fb)
         if k.size:
-            s[k] = np.maximum(s[k], fl[a + k, None])
+            s[:, k] = np.maximum(s[:, k], fb[k])
         np.reciprocal(s, out=s)
-        np.sum(s, axis=1, out=out[a:b])
-    return out
+        np.sum(s, axis=0, out=out[a:a + tb.size])
+    return out[:t.size]
 
 
 def _truncated_sums(config: Configuration, m: int, t, c, fl, lr, share: float, trees):
@@ -727,10 +739,12 @@ def _octave_sums(config: Configuration, n_at, octave, share, t, c, r, centers=No
     lr = (config.family.center_arrays(int(n_at[0])) if centers is None else centers)[0]
     t, c, rv, octave = t.ravel(), c.ravel(), r.ravel(), octave.ravel()
     fl = np.where(c < 2e-9 * (1.0 + rv), 1e-9 * (1.0 + rv), 0.0)
+    ms = np.unique(n_at[np.flatnonzero(np.bincount(octave))]).tolist()
     n_pt = n_at[octave]
     total = np.empty(rv.shape)
-    for m in np.unique(n_at[np.flatnonzero(np.bincount(octave))]).tolist():
-        idx = np.flatnonzero(n_pt == m)
+    for m in ms:
+        # one N for every point: a basic slice, with no gather or scatter
+        idx = slice(None) if len(ms) == 1 else np.flatnonzero(n_pt == m)
         total[idx] = _truncated_sums(config, m, t[idx], c[idx], fl[idx], lr, share, trees)
     return total.reshape(r.shape)
 
@@ -873,6 +887,33 @@ def _growth_tables(config: Configuration, rho, n_psi: int, n_radial: int):
     return memo[key]
 
 
+def _grid_interp(x, xp, fp):
+    """``np.interp(x, xp, fp)``, bit for bit, on the grid xp =
+    linspace(-1, 1, n + 2)[1:-1] of the boundary tables, at points x that
+    are not NaN, with the node index found by arithmetic instead of a
+    search.
+
+    i, the count of nodes at or below x, is floor((x + 1) (n + 1) / 2)
+    clamped to [0, n], off by at most one next to a node, so one comparison
+    each way corrects it.  Then np.interp's own formula, slope_j (x - xp_j)
+    + fp_j on the node xp_j = xp[i - 1] below x, gives fp_j at the node,
+    and with slope 0 below the grid (i = 0) and on or above its last node
+    (i = n) it gives the end values."""
+    n = xp.size
+    i = x + 1.0
+    i *= 0.5 * (n + 1)
+    np.clip(i, 0.0, n, out=i)
+    i = i.astype(np.intp)
+    i -= x < np.concatenate([[-np.inf], xp])[i]
+    i += x >= np.concatenate([xp, [np.inf]])[i]
+    slope = np.concatenate([[0.0], np.diff(fp) / np.diff(xp), [0.0]])
+    node = np.concatenate([xp[:1], xp])
+    out = x - node[i]
+    out *= slope[i]
+    out += np.concatenate([fp[:1], fp])[i]
+    return out
+
+
 def growth_exponent(config: Configuration, rho_grid, mc_samples: int, seed: int,
                     *, n_psi: int = 320, n_radial: int = 768) -> GrowthFit:
     """Fit the exponent of W(rho) ~ rho^alpha where W integrates the
@@ -919,7 +960,7 @@ def growth_exponent(config: Configuration, rho_grid, mc_samples: int, seed: int,
         rng = np.random.Generator(base.jumped(k))
         x = rng.uniform(-1.0, 1.0, m)
         u = rng.random(m)
-        r_max = np.interp(x, x_grid, tables[k])
+        r_max = _grid_interp(x, x_grid, tables[k])
         s = r_max * np.cbrt(u)
         vals = _phi_batch(config, s * x, s * np.sqrt(1.0 - x * x))
         w = float(np.mean(vals * (4.0 * math.pi / 3.0) * r_max ** 3))

@@ -68,6 +68,44 @@ def test_finite_list_tails_vanish_at_full_truncation():
         assert fam.flow_tail(fam.count, t, t + 2.0, z) == (0.0, 0.0)
 
 
+def _same_tail(a, b):
+    """Two (estimates, bound) pairs of phi_tail equal bit for bit, with the
+    same types, shapes and dtypes."""
+    (ea, ba), (eb, bb) = a, b
+    return (type(ea) is type(eb) and ea.shape == eb.shape and ea.dtype == eb.dtype
+            and np.array_equal(ea, eb) and type(ba) is type(bb) and ba == bb)
+
+
+def test_finite_list_phi_tail_at_full_count_forms_no_radii(monkeypatch):
+    # at or past its count a finite list returns the general estimate and
+    # bound, types, shapes and dtypes included, without forming radii to
+    # compare with min_tail_norm; points whose radius may overflow, or NaN,
+    # take the general path (bound inf), as does a count below the list's
+    fam = finite_list([(1.0, 2 + 1j), (-3.0, 0j), (0.5, -1j)]).family
+    rng = np.random.default_rng(2)
+    t, z = rng.uniform(-50.0, 50.0, 40), rng.uniform(-5.0, 5.0, 40) + 1j * rng.uniform(0.0, 5.0, 40)
+    huge = 2.0 ** 1023
+    cases = [(0.7, 1 - 2j), (-40.0, 0.0), (0, 0), (t, z), (t, np.abs(z)), (t, 0.5j),
+             (np.float64(3.0), z), (t.reshape(8, 5), z[:5]), (t[:4, None], z[None, :6]),
+             (np.array(2.5), np.array(1j)), (np.array([huge, 1.0]), 0.0),
+             (1.0, np.array([1j, 1.7e308 + 1.7e308j])), (np.array([np.nan, 1.0]), 0j),
+             (1.0, complex(0.0, math.nan))]
+    general = config.CenterFamily.phi_tail
+    for n in (fam.count, fam.count + 5, fam.count - 1):
+        for t_, z_ in cases:
+            expected = general(fam, n, t_, z_)
+            calls = []
+            norm = fam.min_tail_norm
+            monkeypatch.setattr(fam, "min_tail_norm", lambda n: calls.append(n) or norm(n))
+            got = fam.phi_tail(n, t_, z_)
+            monkeypatch.undo()
+            assert _same_tail(got, expected)
+            finite = np.all(np.abs(t_) < huge) and np.all(np.abs(z_) < huge)
+            assert (not calls) == (n >= fam.count and finite)
+    with pytest.raises(ValueError):
+        fam.phi_tail(fam.count, np.array([]), 0j)
+
+
 # (s, a) = (m beta, N + 1) as the power-law tails ask for them: m = 1..17, and
 # N doubling from one center or from the truncations in use (1024 and 4096
 # are powers of two; the README's example has 10000)

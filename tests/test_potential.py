@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ainfty.config import (Configuration, Finite, axial_monotone, finite_list, general_axial,
-                           power_law)
+from ainfty.config import (CenterFamily, Configuration, Finite, axial_monotone, finite_list,
+                           general_axial, power_law)
 from ainfty import potential
 from ainfty.errors import (InsufficientRange, QuadratureUnresolved, RayHitsCenter,
                            SegmentHitsCenter, SingularPoint, TailUnresolved)
@@ -135,6 +135,26 @@ def test_phi_finite_list_matches_exact_sum(t, zr, zi):
     assert phi(cfg, p, 1e-12).contains(oracle)
 
 
+def test_finite_list_values_equal_with_the_general_tail(monkeypatch):
+    # certified values and growth batches on finite lists are the same, bit
+    # for bit, with the general CenterFamily tail in place of the list's own
+    cfg = finite_list(OFF_AXIS)
+    rng = np.random.default_rng(8)
+    pts = [ImHPoint(t, complex(zr, zi)) for t, zr, zi in rng.uniform(-6.0, 6.0, (20, 3))]
+    t, c = rng.uniform(-1e3, 1e3, 300), rng.uniform(0.0, 1e3, 300)
+    t[0], c[0] = 0.0, 0.0       # on the single center
+
+    def values():
+        return ([phi(cfg, p, 1e-12) for p in pts],
+                [flow_log_g(cfg, 3 + 1j, -1.0, 2.5), flow_log_g_sum(cfg, 2.5, -1.0, 3 + 1j)],
+                _phi_batch(SINGLE, t, c))
+    own = values()
+    monkeypatch.setattr(type(cfg.family), "phi_tail", CenterFamily.phi_tail)
+    general = values()
+    assert own[:2] == general[:2]
+    assert np.array_equal(own[2], general[2])
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.floats(1.2, 3.0),
        st.lists(st.tuples(st.floats(10.0, 1000.0), st.floats(0.0, math.pi)),
@@ -217,8 +237,9 @@ def test_phi_batch_least_truncation_per_octave(beta, monkeypatch):
 
 
 def _kernel_rows(config, n, t, z, floor=None):
-    """The reference for ``_potential_sum`` and, with the floor, for the
-    growth kernel: each point's terms formed and summed one row at a time,
+    """The reference for ``_potential_sum`` and, with the floor and within
+    a tolerance, for the growth batches (whose kernel adds in another
+    order): each point's terms formed and summed one row at a time,
     the floor clamp on every row, plus the kernel's tail estimate for the
     batch."""
     lr, lc = config.family.center_arrays(n)
@@ -253,17 +274,32 @@ def test_kernel_matches_rows_bit_for_bit(monkeypatch):
     assert total[1] > 4e8
 
 
-def test_growth_kernel_matches_rows_bit_for_bit(monkeypatch):
-    # the growth kernel with the floor of _octave_sums, row by row, on
-    # heights shared by every point and on leaf rows padded with inf:
-    # samples on a center (the floor binds) and with c just below, at and
-    # just above the threshold 2e-9 (1 + |zeta|), a center's distance
-    # away, next to the random ones; blocks of 10 and 15 rows, the special
-    # samples on both sides of the row 30 where new blocks start
+def _sequential_sums(t, c2, fl, h):
+    """The reference for the growth kernel: at each point, the terms
+    1/max(sqrt((t + h_k)^2 + c^2), fl) in Python floats, added one center
+    at a time in index order (1/inf adds 0)."""
+    out = []
+    for ti, ci2, fi in zip(t.tolist(), c2.tolist(), fl.tolist()):
+        acc = 0.0
+        for hk in h.tolist():
+            d = ti + hk
+            acc += 1.0 / max(math.sqrt(d * d + ci2), fi)
+        out.append(acc)
+    return np.array(out)
+
+
+def test_growth_kernel_matches_sequential_sums_bit_for_bit(monkeypatch):
+    # the growth kernel with the floor of _octave_sums against the
+    # sequential reference, on heights shared by every point and on leaf
+    # columns padded with inf: samples on a center (the floor binds) and
+    # with c just below, at and just above the threshold 2e-9 (1 + |zeta|),
+    # a center's distance away, next to the random ones; blocks of 10 and
+    # 15 points, the special samples on both sides of the point 30 where
+    # new blocks start, and a lone point in the last block of 9
     monkeypatch.setattr(potential, "_BLOCK", 1000)
     rng = np.random.default_rng(11)
     cfg, n = power_law(2.0), 100
-    t, c = rng.uniform(-3000.0, 3000.0, 400), rng.uniform(0.0, 2000.0, 400)
+    t, c = rng.uniform(-3000.0, 3000.0, 401), rng.uniform(0.0, 2000.0, 401)
     at = np.arange(28, 34)
     t[at] = [-4.0, -1.0, -9.0, -9.0, -9.0, -9.0]
     c[at] = 0.0
@@ -272,21 +308,55 @@ def test_growth_kernel_matches_rows_bit_for_bit(monkeypatch):
     fl = np.where(c < 2e-9 * (1.0 + r), 1e-9 * (1.0 + r), 0.0)
     assert np.array_equal(np.flatnonzero(fl), at[:4])
     lr, _ = cfg.family.center_arrays(n)
-    total = potential._direct_sums(t, c * c, fl, lr) + cfg.family.phi_tail(n, t, c)[0]
-    assert np.array_equal(total, _kernel_rows(cfg, n, t, c, floor=r))
+    total = potential._direct_sums(t, c * c, fl, lr)
+    assert np.array_equal(total, _sequential_sums(t, c * c, fl, lr))
     assert np.all(total[at[:3]] > 1e8)
-    # two leaves of 64 slots, the second holding 36 centers and 28 inf
+    # two leaves of 64 slots as columns, the second holding 36 centers and
+    # 28 inf
     leaves = potential._cluster_tree(lr, 1e-9)[-1]
-    assert leaves.shape == (2, 64) and np.isinf(leaves[1, 36:]).all()
+    assert leaves.shape == (64, 2) and np.isinf(leaves[36:, 1]).all()
+    assert np.array_equal(leaves.T.ravel()[:n], np.sort(lr))
     nd = rng.integers(0, 2, t.size)
     nd[at] = 0
-    ref = np.empty(t.size)
-    for i, (ti, ci, ri) in enumerate(zip(t, c, r)):
-        s = (ti + leaves[nd[i]]) * (ti + leaves[nd[i]])
-        s += ci * ci
-        ref[i] = np.sum(1.0 / np.maximum(np.sqrt(s), 1e-9 * (1.0 + ri)))
+    ref = np.array([_sequential_sums(t[i:i + 1], c[i:i + 1] ** 2, fl[i:i + 1],
+                                     leaves[:, nd[i]])[0] for i in range(t.size)])
     assert np.array_equal(potential._direct_sums(t, c * c, fl, leaves, nd), ref)
     assert np.all(ref[at[:3]] > 1e8)
+    # every width up to 300 on a few points, one of them alone in a block
+    for width in range(1, 301):
+        h = -np.sort(rng.uniform(0.0, 1e4, width))
+        tw, cw = t[:3], c[:3]
+        assert np.array_equal(potential._direct_sums(tw, cw * cw, fl[:3], h),
+                              _sequential_sums(tw, cw * cw, fl[:3], h))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 64, 255])
+def test_growth_kernel_point_alone_equals_point_in_batch(width, monkeypatch):
+    # a point's sum is the same alone (one column, summed as two), in a
+    # block of one column at the end of a batch, and inside a large block,
+    # on shared heights and on leaf columns picked by nd
+    rng = np.random.default_rng(width)
+    t, c = rng.uniform(-1e3, 1e3, 21), rng.uniform(0.0, 1e3, 21)
+    t[4], c[4:6] = -5.0, 0.0        # a point on a center: the floor binds
+    fl = np.where(c < 2e-9 * (1.0 + np.abs(t)), 1e-9 * (1.0 + np.abs(t)), 0.0)
+    h = -np.sort(rng.uniform(0.0, 1e3, width))
+    h[0] = 5.0
+    leaves = np.where(rng.random((width, 3)) < 0.2, np.inf, rng.uniform(-1e3, 1e3, (width, 3)))
+    leaves[0, 1] = 5.0
+    nd = rng.integers(0, 3, t.size)
+    nd[4] = 1
+    for args in ((h,), (leaves, nd)):
+        whole = potential._direct_sums(t, c * c, fl, *args)
+        assert whole[4] > 1e8
+        for i in range(t.size):
+            one = (args[0], args[1][i:i + 1]) if len(args) == 2 else args
+            alone = potential._direct_sums(t[i:i + 1], c[i:i + 1] ** 2, fl[i:i + 1], *one)
+            assert alone[0] == whole[i]
+        # blocks of 2 and of 4 points: each leaves the 21st point alone
+        for block in (width, 4 * width):
+            with monkeypatch.context() as m:
+                m.setattr(potential, "_BLOCK", block)
+                assert np.array_equal(potential._direct_sums(t, c * c, fl, *args), whole)
 
 
 @pytest.mark.parametrize("config", [
@@ -955,3 +1025,22 @@ def test_boundary_cumulative_shortfall_raises(config):
     # one node per ray: every cumulative stays at zero
     with pytest.raises(TailUnresolved, match="boundary cumulative fell short"):
         growth_exponent(config, ACCEPTANCE_RHO, 1000, 1, n_radial=1)
+
+
+@pytest.mark.parametrize("n_psi", [1, 2, 3, 320])
+def test_grid_lookup_equals_np_interp_bit_for_bit(n_psi):
+    # the arithmetic lookup of the strata against np.interp on the tables'
+    # grid: at every node, one ulp to either side of it, at -1, below the
+    # first node and above the last, and at 10^6 random points (n_psi = 1
+    # gives fp[0] everywhere)
+    rng = np.random.default_rng(n_psi)
+    xp = np.linspace(-1.0, 1.0, n_psi + 2)[1:-1]
+    fp = rng.uniform(1.0, 1e4, n_psi)
+    x = np.concatenate([xp, np.nextafter(xp, -2.0), np.nextafter(xp, 2.0),
+                        [-1.0, np.nextafter(-1.0, 0.0), -1.5, 0.5 * (xp[0] - 1.0),
+                         1.0, np.nextafter(1.0, 0.0), 1.5],
+                        rng.uniform(-1.0, 1.0, 10 ** 6)])
+    ref = np.interp(x, xp, fp)
+    assert np.array_equal(potential._grid_interp(x, xp, fp), ref)
+    if n_psi == 1:
+        assert np.all(ref == fp[0])
